@@ -45,10 +45,10 @@ impl Default for DynamicTopologyConfig {
     }
 }
 
-/// Per-link placement inside a ring.
+/// A ring member: one inter-switch link and its tier.
 #[derive(Debug, Clone, Copy)]
-struct RingSlot {
-    ring: u32,
+struct RingLink {
+    link: LinkId,
     tier: u8,
 }
 
@@ -56,8 +56,8 @@ struct RingSlot {
 #[derive(Debug)]
 pub struct DynamicTopology {
     config: DynamicTopologyConfig,
-    /// Per-link ring membership (`None` for host links).
-    slots: Vec<Option<RingSlot>>,
+    /// Per ring, its links in ascending link-id order.
+    ring_links: Vec<Vec<RingLink>>,
     /// Highest enabled tier per ring (0 = mesh, 1 = torus, 2 = full).
     ring_tier: Vec<u8>,
     /// Links removed from routing and waiting to fall idle.
@@ -83,7 +83,9 @@ impl DynamicTopology {
         );
         let k = fabric.radix();
         let groups_per_dim = fabric.num_switches() / k as usize;
-        let mut slots = vec![None; fabric.num_links()];
+        let rings = fabric.switch_dims() * groups_per_dim;
+        // Per-link (ring, tier); host links belong to no ring.
+        let mut slots: Vec<Option<(u32, u8)>> = vec![None; fabric.num_links()];
         for s in 0..fabric.num_switches() {
             let sid = SwitchId::new(s as u32);
             let coord = fabric.switch_coord(sid);
@@ -117,13 +119,21 @@ impl DynamicTopology {
                 }
                 let ring = (dim * groups_per_dim + group) as u32;
                 let link = fabric.link_of(fabric.output_channel(sid, pid));
-                slots[link.index()] = Some(RingSlot { ring, tier });
+                slots[link.index()] = Some((ring, tier));
             }
         }
-        let rings = fabric.switch_dims() * groups_per_dim;
+        let mut ring_links = vec![Vec::new(); rings];
+        for (l, slot) in slots.iter().enumerate() {
+            if let Some((ring, tier)) = *slot {
+                ring_links[ring as usize].push(RingLink {
+                    link: LinkId::new(l as u32),
+                    tier,
+                });
+            }
+        }
         Self {
             config,
-            slots,
+            ring_links,
             ring_tier: vec![2; rings],
             draining: Vec::new(),
             transitions: 0,
@@ -154,7 +164,6 @@ impl DynamicTopology {
         inst: &mut Instruments,
     ) {
         // 1. Finish draining links whose channels fell idle.
-        let slots = &self.slots;
         let transitions = &mut self.transitions;
         self.draining.retain(|&link| {
             let (a, b) = fabric.link_channels(link);
@@ -167,37 +176,34 @@ impl DynamicTopology {
                 *transitions += 1;
                 stats.reconfigurations += 1;
             }
-            let _ = slots;
             !idle
         });
 
-        // 2. Per-ring demand, measured over *enabled, powered* channels.
+        // 2. Per ring: demand over its *enabled, powered* channels, then
+        //    raise or shed one tier per epoch (gradual, avoids
+        //    meta-instability, §3.2). A ring change touches only its own
+        //    links, so measuring each ring just before deciding it reads
+        //    the same state as measuring every ring first.
         let epoch = config.epoch;
-        let mut busy = vec![0u128; self.ring_tier.len()];
-        let mut count = vec![0u64; self.ring_tier.len()];
-        for (l, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let link = LinkId::new(l as u32);
-            if !mask.is_enabled(link) {
-                continue;
-            }
-            let (a, b) = fabric.link_channels(link);
-            for ch in [a, b] {
-                let i = ch.index();
-                if !channels.has_flag(i, F_OFF) {
-                    busy[slot.ring as usize] += u128::from(channels.busy_ps_epoch[i]);
-                    count[slot.ring as usize] += 1;
+        for ring in 0..self.ring_tier.len() {
+            let (mut busy, mut count) = (0u128, 0u64);
+            for &RingLink { link, .. } in &self.ring_links[ring] {
+                if !mask.is_enabled(link) {
+                    continue;
+                }
+                let (a, b) = fabric.link_channels(link);
+                for ch in [a, b] {
+                    let i = ch.index();
+                    if !channels.has_flag(i, F_OFF) {
+                        busy += u128::from(channels.busy_ps_epoch[i]);
+                        count += 1;
+                    }
                 }
             }
-        }
-
-        // 3. Raise or shed one tier per ring per epoch (gradual, avoids
-        //    meta-instability, §3.2).
-        for ring in 0..self.ring_tier.len() {
-            if count[ring] == 0 {
+            if count == 0 {
                 continue;
             }
-            let util = busy[ring] as f64 / (count[ring] as u128 * u128::from(epoch.as_ps())) as f64;
+            let util = busy as f64 / (count as u128 * u128::from(epoch.as_ps())) as f64;
             let tier = self.ring_tier[ring];
             if util > self.config.on_threshold && tier < 2 {
                 self.set_ring_tier(
@@ -242,13 +248,8 @@ impl DynamicTopology {
     ) {
         let old_tier = self.ring_tier[ring];
         self.ring_tier[ring] = new_tier;
-        for (l, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            if slot.ring as usize != ring {
-                continue;
-            }
-            let link = LinkId::new(l as u32);
-            if new_tier > old_tier && slot.tier <= new_tier && !mask.is_enabled(link) {
+        for &RingLink { link, tier } in &self.ring_links[ring] {
+            if new_tier > old_tier && tier <= new_tier && !mask.is_enabled(link) {
                 // Power on: usable after one reactivation at full rate
                 // (demand is high — skip the slow ramp).
                 mask.enable(link);
@@ -275,7 +276,7 @@ impl DynamicTopology {
                 }
                 self.transitions += 1;
                 stats.reconfigurations += 1;
-            } else if new_tier < old_tier && slot.tier > new_tier && mask.is_enabled(link) {
+            } else if new_tier < old_tier && tier > new_tier && mask.is_enabled(link) {
                 // Remove from routing and drain (§3.2 option 1).
                 mask.disable(link);
                 self.draining.push(link);
@@ -297,8 +298,21 @@ mod tests {
     fn every_interswitch_link_gets_a_slot() {
         let g = fabric();
         let dt = DynamicTopology::new(&g, DynamicTopologyConfig::default());
-        let with_slots = dt.slots.iter().filter(|s| s.is_some()).count();
-        assert_eq!(with_slots, g.num_links() - g.num_hosts());
+        let members: usize = dt.ring_links.iter().map(Vec::len).sum();
+        assert_eq!(members, g.num_links() - g.num_hosts());
+        let mut seen = vec![false; g.num_links()];
+        for links in &dt.ring_links {
+            assert!(
+                links.windows(2).all(|w| w[0].link < w[1].link),
+                "ascending link ids"
+            );
+            for l in links {
+                assert!(
+                    !std::mem::replace(&mut seen[l.link.index()], true),
+                    "one ring per link"
+                );
+            }
+        }
         // 2 dimensions × 5 groups per dimension (25 switches / k=5).
         assert_eq!(dt.num_rings(), 2 * 5);
     }
@@ -309,10 +323,8 @@ mod tests {
         let dt = DynamicTopology::new(&g, DynamicTopologyConfig::default());
         // Each k=5 ring has C(5,2)=10 links: 4 adjacent, 1 wrap, 5 chords.
         let mut per_tier = [0usize; 3];
-        for slot in dt.slots.iter().flatten() {
-            if slot.ring == 0 {
-                per_tier[slot.tier as usize] += 1;
-            }
+        for l in &dt.ring_links[0] {
+            per_tier[l.tier as usize] += 1;
         }
         assert_eq!(per_tier, [4, 1, 5]);
     }

@@ -79,9 +79,9 @@ enum RateOutcome {
 /// How `route()` obtains its candidate-port sets.
 ///
 /// The default is a precomputed [`RouteTable`] indexed per hop and
-/// rebuilt lazily when the link mask's generation moves. Setting
-/// `EPNET_ROUTES=dynamic` at simulator construction falls back to the
-/// reference on-the-fly coordinate computation — mirroring
+/// refreshed lazily, in place, when the link mask's generation moves.
+/// Setting `EPNET_ROUTES=dynamic` at simulator construction falls back
+/// to the reference on-the-fly coordinate computation — mirroring
 /// `EPNET_SCHED=heap` — and must produce byte-identical reports.
 #[derive(Debug)]
 pub(crate) enum RouteMode {
@@ -330,6 +330,7 @@ impl Core {
                             table.generation(),
                             build_ns,
                             table.num_port_entries() as u64,
+                            table.num_switches() as u64,
                         );
                     }
                     RouteMode::Table(table)
@@ -1070,8 +1071,8 @@ impl Core {
     /// [`RoutingPolicy::Ugal`] a congested minimal set may instead yield
     /// a detour through an intermediate switch.
     ///
-    /// Candidate sets come from the precomputed [`RouteTable`] (rebuilt
-    /// lazily when the link mask's generation moves) or, under
+    /// Candidate sets come from the precomputed [`RouteTable`] (refreshed
+    /// in place, lazily, when the link mask's generation moves) or, under
     /// `EPNET_ROUTES=dynamic`, from the reference per-hop coordinate
     /// computation; both paths enumerate candidates in the identical
     /// order, so the choice never changes simulation output.
@@ -1091,22 +1092,22 @@ impl Core {
             self.try_tx(out);
             return;
         }
-        if let RouteMode::Table(t) = &self.routes {
+        if let RouteMode::Table(t) = &mut self.routes {
             if !t.is_current(self.mask.as_ref()) {
                 let start = Instant::now();
-                let table = RouteTable::build(&self.fabric, self.mask.as_ref());
+                let switches = t.refresh(&self.fabric, self.mask.as_ref());
                 let wall = start.elapsed();
                 self.inst.profiler.record("route_table_build", wall);
                 if self.inst.on(TraceCategory::Routes) {
                     let build_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
                     self.inst.tracer().routes(
                         self.now.as_ps(),
-                        table.generation(),
+                        t.generation(),
                         build_ns,
-                        table.num_port_entries() as u64,
+                        t.num_port_entries() as u64,
+                        switches as u64,
                     );
                 }
-                self.routes = RouteMode::Table(table);
             }
         }
         // Rotating start index de-correlates tie-breaks between switches

@@ -26,8 +26,9 @@
 //!   deterministic `(time, seq)` order).
 //!
 //! Routing candidates come from a precomputed
-//! [`RouteTable`](epnet_topology::RouteTable) by default, invalidated
-//! lazily via the link mask's generation counter; setting
+//! [`RouteTable`](epnet_topology::RouteTable) by default, refreshed in
+//! place — only the dimension rings a link flip touched — when the link
+//! mask's generation counter moves; setting
 //! `EPNET_ROUTES=dynamic` at simulator construction selects the
 //! reference per-hop computation instead. Like the scheduler knob, the
 //! choice never changes simulation output — reports are byte-identical

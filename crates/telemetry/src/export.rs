@@ -16,7 +16,7 @@
 //! | `controller` | counter sample (`ph:"C"`) `ch<N> Gb/s` = new rate | owning channel's process |
 //! | `reactivation` `start`→`end` | duration slice (`ph:"X"`) `reactivation` | channel's thread |
 //! | `credit` `block`→`unblock` | duration slice (`ph:"X"`) `credit stall` | channel's thread |
-//! | `routes` | instant `route rebuild` | `engine` / `route rebuilds` |
+//! | `routes` | instant `route rebuild` (args `generation`, `build_ns`, `entries`, `switches`) | `engine` / `route rebuilds` |
 //! | `detour` | instant `detour` | switch process / `detours` (or `engine` / `detours` without a layout) |
 //! | `parallel` | duration slice `window` spanning `start_ps`→`at_ps` | `parallel engine` / `windows` |
 //!
@@ -362,6 +362,7 @@ pub fn chrome_trace(records: &[TraceRecord], layout: Option<TrackLayout>) -> Chr
                 generation,
                 build_ns,
                 entries,
+                switches,
             } => {
                 b.name_track(PID_ENGINE, 2, "engine", "route rebuilds");
                 b.instant(
@@ -373,6 +374,7 @@ pub fn chrome_trace(records: &[TraceRecord], layout: Option<TrackLayout>) -> Chr
                         ("generation".into(), Value::U64(*generation)),
                         ("build_ns".into(), Value::U64(*build_ns)),
                         ("entries".into(), Value::U64(*entries)),
+                        ("switches".into(), Value::U64(*switches)),
                     ],
                 );
             }
@@ -558,7 +560,7 @@ mod tests {
     fn sample_records() -> Vec<TraceRecord> {
         let sink = MemorySink::new();
         let mut t = Tracer::new(sink.clone(), TraceCategory::ALL_MASK);
-        t.routes(0, 1, 42_000, 1024);
+        t.routes(0, 1, 42_000, 1024, 16);
         t.controller(1_000, 2, 0.82, "10 Gb/s", "20 Gb/s", "upshift");
         t.reactivation(1_000, 2, "start", "20 Gb/s", Some(2_000));
         t.credit(1_500, 4, "block", 2048, 512);

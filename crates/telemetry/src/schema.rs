@@ -56,16 +56,18 @@ pub enum TraceRecord {
         /// Credits available when the record was emitted.
         credits: u64,
     },
-    /// A route-table (re)build.
+    /// A route-table build or in-place refresh.
     Routes {
         /// Simulated time, picoseconds.
         at_ps: u64,
-        /// Link-mask generation the table was built against.
+        /// Link-mask generation the table now matches.
         generation: u64,
-        /// Wall-clock nanoseconds spent building.
+        /// Wall-clock nanoseconds spent building or refreshing.
         build_ns: u64,
-        /// Total port entries in the rebuilt table.
+        /// Live port entries in the table.
         entries: u64,
+        /// Switches whose rows were recomputed.
+        switches: u64,
     },
     /// An adaptive-routing detour.
     Detour {
@@ -229,6 +231,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
                 generation: req_u64(&v, line_no, "generation")?,
                 build_ns: req_u64(&v, line_no, "build_ns")?,
                 entries: req_u64(&v, line_no, "entries")?,
+                switches: req_u64(&v, line_no, "switches")?,
             },
             TraceCategory::Detour => TraceRecord::Detour {
                 at_ps,
@@ -286,7 +289,7 @@ mod tests {
         t.reactivation(2_000, 2, "end", "20 Gb/s", None);
         t.credit(1_500, 4, "block", 2048, 512);
         t.credit(1_700, 4, "unblock", 2048, 4096);
-        t.routes(0, 1, 42_000, 1024);
+        t.routes(0, 1, 42_000, 1024, 16);
         t.detour(1_800, 3, 5, 100, 900);
         t.parallel_window(2_100, 1_900, 4, 128, 132, 3, 9);
         sink.contents()
@@ -361,6 +364,7 @@ mod tests {
                 generation: 1,
                 build_ns: 42_000,
                 entries: 1024,
+                switches: 16,
             },
             TraceRecord::Detour {
                 at_ps: 1_800,

@@ -377,9 +377,17 @@ impl Tracer {
         );
     }
 
-    /// Records a route-table (re)build: the new generation, wall time
-    /// spent building, and total port entries in the table.
-    pub fn routes(&mut self, at_ps: u64, generation: u64, build_ns: u64, entries: u64) {
+    /// Records a route-table build or refresh: the new generation, wall
+    /// time spent, live port entries in the table, and how many
+    /// switches' rows were recomputed.
+    pub fn routes(
+        &mut self,
+        at_ps: u64,
+        generation: u64,
+        build_ns: u64,
+        entries: u64,
+        switches: u64,
+    ) {
         self.emit(
             TraceCategory::Routes,
             at_ps,
@@ -387,6 +395,7 @@ impl Tracer {
                 ("generation".into(), Value::U64(generation)),
                 ("build_ns".into(), Value::U64(build_ns)),
                 ("entries".into(), Value::U64(entries)),
+                ("switches".into(), Value::U64(switches)),
             ],
         );
     }
@@ -511,7 +520,7 @@ mod tests {
         tracer.reactivation(2, 0, "start", "5 Gb/s", Some(12));
         tracer.reactivation(12, 0, "end", "5 Gb/s", None);
         tracer.credit(3, 7, "block", 2048, 100);
-        tracer.routes(4, 2, 1234, 512);
+        tracer.routes(4, 2, 1234, 512, 8);
         tracer.detour(5, 3, 1, 4, 9);
         tracer.parallel_window(6, 2, 3, 40, 44, 2, 5);
         let text = sink.contents();

@@ -146,6 +146,11 @@ impl LinkMask {
         self.generation
     }
 
+    /// The per-link enabled bits, indexed by [`LinkId`].
+    pub(crate) fn bits(&self) -> &[bool] {
+        &self.enabled
+    }
+
     /// Number of enabled links.
     pub fn enabled_links(&self) -> usize {
         self.enabled.iter().filter(|&&e| e).count()

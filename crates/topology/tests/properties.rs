@@ -281,3 +281,137 @@ proptest! {
         assert_table_matches(&g, None, dst_seed);
     }
 }
+
+/// Every row of `table` — local, stranded and host-less ones included —
+/// equals a fresh build under `mask`, and every row toward a switch
+/// with hosts equals the per-hop enumeration.
+fn assert_rows_match_fresh_build(g: &FabricGraph, table: &RouteTable, mask: &LinkMask) {
+    let fresh = RouteTable::build(g, Some(mask));
+    assert_eq!(table.num_port_entries(), fresh.num_port_entries());
+    let conc = usize::from(g.concentration());
+    let mut dynamic = Vec::new();
+    for at in 0..g.num_switches() {
+        let at = SwitchId::new(at as u32);
+        for dst in 0..g.num_switches() {
+            let dst = SwitchId::new(dst as u32);
+            assert_eq!(table.candidates(at, dst), fresh.candidates(at, dst));
+            assert_eq!(table.detours(at, dst), fresh.detours(at, dst));
+            if at == dst || dst.index() * conc >= g.num_hosts() {
+                continue;
+            }
+            let dest = HostId::new((dst.index() * conc) as u32);
+            g.candidate_ports_masked(at, dest, Some(mask), &mut dynamic);
+            assert_eq!(
+                table.candidates(at, dst),
+                &dynamic[..],
+                "minimal candidates diverge at {at} toward {dst}"
+            );
+            g.detour_ports_masked(at, dst, Some(mask), &mut dynamic);
+            assert_eq!(
+                table.detours(at, dst),
+                &dynamic[..],
+                "detour candidates diverge at {at} toward {dst}"
+            );
+        }
+    }
+}
+
+/// Inter-switch links, and the subset of them that are `0 ↔ k−1`
+/// wraparounds of a butterfly ring (a Clos has none).
+fn switch_and_wrap_links(g: &FabricGraph) -> (Vec<LinkId>, Vec<LinkId>) {
+    let (mut switch_links, mut wraps) = (Vec::new(), Vec::new());
+    for l in 0..g.num_links() {
+        let link = LinkId::new(l as u32);
+        let (a, b) = g.link_channels(link);
+        let (Some((u, _)), Some((v, _))) = (g.channel_source(a), g.channel_source(b)) else {
+            continue;
+        };
+        switch_links.push(link);
+        let (cu, cv) = (g.switch_coord(u), g.switch_coord(v));
+        if (0..g.switch_dims()).any(|d| cu.digit(d).abs_diff(cv.digit(d)) == g.radix() - 1) {
+            wraps.push(link);
+        }
+    }
+    (switch_links, wraps)
+}
+
+/// Applies seed-derived bursts of link flips to `mask`, refreshing one
+/// table in place after each burst and checking it row by row. Flips
+/// favour inter-switch links and, among them, ring wraparounds — the
+/// links whose reach beyond their own endpoints the refresh must
+/// honour — with an occasional host link. Returns the number of
+/// switches each refresh recomputed.
+fn refresh_through_random_flips(g: &FabricGraph, mut mask: LinkMask, seed: u64) -> Vec<usize> {
+    let (switch_links, wraps) = switch_and_wrap_links(g);
+    let mut table = RouteTable::build(g, Some(&mask));
+    let mut rng = seed;
+    let pick = |rng: &mut u64, from: &[LinkId]| from[(splitmix(rng) % from.len() as u64) as usize];
+    let mut recomputed = Vec::new();
+    for _ in 0..6 {
+        for _ in 0..1 + splitmix(&mut rng) % 3 {
+            let link = match splitmix(&mut rng) % 8 {
+                0..=3 if !wraps.is_empty() => pick(&mut rng, &wraps),
+                0..=6 => pick(&mut rng, &switch_links),
+                _ => LinkId::new((splitmix(&mut rng) % g.num_links() as u64) as u32),
+            };
+            if mask.is_enabled(link) {
+                mask.disable(link);
+            } else {
+                mask.enable(link);
+            }
+        }
+        assert!(!table.is_current(Some(&mask)));
+        recomputed.push(table.refresh(g, Some(&mask)));
+        assert!(table.is_current(Some(&mask)));
+        assert_rows_match_fresh_build(g, &table, &mask);
+    }
+    recomputed
+}
+
+/// Butterflies covering the refresh's special cases: `k = 2` (the only
+/// ring link is also the wrap) and `k = 3`, with 1, 2 and 4 switch
+/// dimensions.
+fn refresh_fbfly_strategy() -> impl Strategy<Value = FlattenedButterfly> {
+    prop_oneof![
+        (1u16..4, 2u16..6, 2usize..4),
+        (1u16..3, 2u16..4, Just(5usize)),
+    ]
+    .prop_map(|(c, k, n)| FlattenedButterfly::new(c, k, n).expect("params in valid range"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn refresh_matches_fresh_build_after_random_flips(
+        f in refresh_fbfly_strategy(),
+        start in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let g = f.build_fabric();
+        let mask = match start {
+            0 => LinkMask::all_enabled(&g),
+            1 => LinkMask::subtopology(&g, SubtopologyKind::Mesh),
+            2 => LinkMask::subtopology(&g, SubtopologyKind::Torus),
+            _ => random_mask(&g, seed),
+        };
+        let k = usize::from(g.radix());
+        for n in refresh_through_random_flips(&g, mask, seed) {
+            // A burst of at most three flips dirties at most three rings.
+            prop_assert!(n <= 3 * k, "{n} switches recomputed for at most 3 rings of {k}");
+        }
+    }
+
+    #[test]
+    fn clos_refresh_recomputes_every_switch(
+        c in 1u16..5,
+        s in 1u32..5,
+        seed in any::<u64>(),
+    ) {
+        let clos = TwoTierClos::new(c, s, u32::from(c) + s).expect("leaves = conc + spines");
+        let g = clos.build_fabric();
+        for n in refresh_through_random_flips(&g, LinkMask::all_enabled(&g), seed) {
+            prop_assert_eq!(n, g.num_switches());
+        }
+    }
+}
