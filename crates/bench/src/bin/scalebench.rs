@@ -107,71 +107,6 @@ fn main() {
         runs.push(run);
     }
 
-    // The threads axis: serial baseline then every `EPNET_PAR` width,
-    // each report asserted byte-identical to serial before its timing
-    // counts. The full sweep measures the paper-scale 15-ary 2-flat
-    // (the fabric the parallel engine exists for) — the last *packet*
-    // point, since the hybrid tail has its own axis below; the reduced
-    // smoke uses the canonical point to stay seconds-long.
-    let axis_point = if reduced {
-        &points[0]
-    } else {
-        scalebench::axis_point(&points)
-    };
-    let axis = scalebench::measure_threads(axis_point);
-    let baseline = axis.runs[0].wall_ms;
-    for r in &axis.runs {
-        eprintln!(
-            "{:<14} threads={:<2} {:>10.0} events/s  speedup={:.2}x (of {} hw threads)",
-            axis.point,
-            r.threads,
-            r.events_per_sec(),
-            baseline / r.wall_ms,
-            axis.hw_threads,
-        );
-    }
-
-    // The hybrid threads axis: the million-host hybrid point re-run
-    // serially and at widths {1, 2, 4}, byte-identity asserted at each
-    // width before its timing is recorded.
-    let hybrid_axis = scalebench::measure_threads_over(
-        scalebench::hybrid_axis_point(&points),
-        &scalebench::HYBRID_THREAD_WIDTHS,
-    );
-    let hybrid_baseline = hybrid_axis.runs[0].wall_ms;
-    for r in &hybrid_axis.runs {
-        eprintln!(
-            "{:<14} threads={:<2} {:>10.0} events/s  speedup={:.2}x (of {} hw threads)",
-            hybrid_axis.point,
-            r.threads,
-            r.events_per_sec(),
-            hybrid_baseline / r.wall_ms,
-            hybrid_axis.hw_threads,
-        );
-    }
-
-    // The lookahead probe: pairwise matrix vs the legacy global bound,
-    // byte-identity asserted, window shapes compared. In the full
-    // sweep it runs on the grouped 3-flat, where cross-shard links are
-    // optical and the pairwise bound has real heterogeneity to
-    // exploit.
-    let lookahead = scalebench::measure_lookahead(scalebench::lookahead_point(&points));
-    for m in [&lookahead.pairwise, &lookahead.global] {
-        eprintln!(
-            "{:<14} lookahead={:<8} windows={:<8} {:>8.1} events/window  bound={} ps",
-            lookahead.point,
-            m.mode,
-            m.windows,
-            m.mean_events_per_window(),
-            m.lookahead_ps,
-        );
-    }
-    eprintln!(
-        "{:<14} barrier amortization pairwise/global = {:.2}x",
-        lookahead.point,
-        lookahead.amortization_ratio(),
-    );
-
     // The models axis: every packet point re-run under both models at
     // the reduced horizon, hybrid-vs-packet agreement asserted within
     // the documented tolerance before anything is written.
@@ -187,7 +122,7 @@ fn main() {
         );
     }
 
-    let doc = scalebench::render(&runs, &axis, &hybrid_axis, &lookahead, &models);
+    let doc = scalebench::render(&runs, scalebench::hw_threads(), &models);
     scalebench::validate(&doc).expect("freshly rendered document validates");
     if to_stdout {
         print!("{doc}");

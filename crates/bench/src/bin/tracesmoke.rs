@@ -13,28 +13,14 @@
 //! (`tests/tests/bench_smoke.rs`) both lean on this to catch schema
 //! drift between the emitters and the validator.
 //!
-//! The same scenario then re-runs under `EPNET_PAR=4` into
-//! `<path>.par4`, and the merged trace stream must be **line-identical**
-//! to the serial trace — the sharded engine's replay step emits every
-//! worker's trace bytes in global event order, so even a one-line
-//! reordering is a coordinator bug. Only the execution-shape categories
-//! are exempt from the comparison: `routes` lines carry wall-clock
-//! rebuild nanoseconds (and per-shard tables rebuild independently),
-//! and `parallel` lines exist only under `EPNET_PAR` (see
-//! `crates/sim/src/par.rs` module docs). The canonical scenario emits
-//! no mid-run routes lines, but the filter keeps the contract precise
-//! rather than incidental.
-//!
-//! Finally the chrome-trace exporter runs over both captures: the full
-//! serial export must be well-formed JSON whose per-category record
-//! counts match the source `TraceStats` (written to `<path>.chrome.json`
-//! for loading into Perfetto), and the behavior-only streams (shape
-//! categories stripped) of the serial and `EPNET_PAR=4` captures must
-//! export to byte-identical JSON.
+//! Finally the chrome-trace exporter runs over the capture: the export
+//! must be well-formed JSON whose per-category record counts match the
+//! source `TraceStats` (written to `<path>.chrome.json` for loading
+//! into Perfetto).
 
 use epnet_bench::enginebench::{canonical_layout, canonical_simulator, HORIZON};
 use epnet_sim::{TraceCategory, Tracer};
-use epnet_telemetry::export::{behavior_records, chrome_trace};
+use epnet_telemetry::export::chrome_trace;
 use epnet_telemetry::{parse_jsonl, summary, validate_jsonl, FileSink};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -97,84 +83,19 @@ fn main() -> ExitCode {
         report.events_processed, report.packets_delivered, report.delivered_bytes
     );
 
-    // The parallel cross-check: the identical scenario under
-    // `EPNET_PAR=4` must produce a line-identical merged trace (routes
-    // lines excepted — wall-clock build times).
-    let par_path = format!("{path}.par4");
-    let par_sink = match FileSink::create(&par_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot create {par_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    std::env::set_var("EPNET_PAR", "4");
-    let mut par_sim = canonical_simulator();
-    par_sim.set_tracer(Tracer::new(par_sink, TraceCategory::ALL_MASK));
-    let par_report = par_sim.run_until(HORIZON);
-    std::env::remove_var("EPNET_PAR");
-    let par_text = match std::fs::read_to_string(&par_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read back {par_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = validate_jsonl(&par_text) {
-        eprintln!("trace schema violation in {par_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if par_report.events_processed != report.events_processed
-        || par_report.delivered_bytes != report.delivered_bytes
-    {
-        eprintln!("EPNET_PAR=4 report diverged from serial");
-        return ExitCode::FAILURE;
-    }
-    fn behavior_lines(t: &str) -> Vec<&str> {
-        t.lines()
-            .filter(|l| !l.contains("\"cat\":\"routes\"") && !l.contains("\"cat\":\"parallel\""))
-            .collect()
-    }
-    let serial_lines = behavior_lines(&text);
-    let par_lines = behavior_lines(&par_text);
-    if serial_lines != par_lines {
-        let diverge = serial_lines
-            .iter()
-            .zip(&par_lines)
-            .position(|(a, b)| a != b)
-            .unwrap_or(serial_lines.len().min(par_lines.len()));
-        eprintln!(
-            "EPNET_PAR=4 trace diverged from serial at line {} ({} vs {} lines)",
-            diverge + 1,
-            serial_lines.len(),
-            par_lines.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "{par_path}: EPNET_PAR=4 trace line-identical to serial ({} lines)",
-        par_lines.len()
-    );
-    // The parallel run must actually exercise the new category — a
-    // silent emitter regression would otherwise pass the filter above.
-    if !par_text.contains("\"cat\":\"parallel\"") {
-        eprintln!("EPNET_PAR=4 run emitted no 'parallel' records — emitter regression?");
-        return ExitCode::FAILURE;
-    }
-
     // ---- chrome-trace export checks ----
-    // Full serial export: well-formed JSON, and the per-category record
+    // Full export: well-formed JSON, and the per-category record
     // counts embedded by the exporter must match the source TraceStats
     // exactly — an export that silently drops records fails here.
     let layout = canonical_layout();
-    let serial_records = match parse_jsonl(&text) {
+    let records = match parse_jsonl(&text) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let export = chrome_trace(&serial_records, Some(layout));
+    let export = chrome_trace(&records, Some(layout));
     let doc: serde_json::Value = match serde_json::from_str(&export.json) {
         Ok(v) => v,
         Err(e) => {
@@ -213,24 +134,6 @@ fn main() -> ExitCode {
         "{chrome_path}: {} trace events + {} metadata events, counts match TraceStats",
         export.trace_events, export.metadata_events
     );
-
-    // Behavior-only streams (shape categories stripped) of the serial
-    // and parallel captures must export to byte-identical JSON — the
-    // export-level form of the line-identity contract.
-    let par_records = match parse_jsonl(&par_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{par_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let serial_export = chrome_trace(&behavior_records(&serial_records), Some(layout));
-    let par_export = chrome_trace(&behavior_records(&par_records), Some(layout));
-    if serial_export.json != par_export.json {
-        eprintln!("EPNET_PAR=4 behavior-only chrome-trace export diverged from serial");
-        return ExitCode::FAILURE;
-    }
-    println!("serial and EPNET_PAR=4 behavior-only exports byte-identical");
 
     summary::eprint_summary("tracesmoke", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS

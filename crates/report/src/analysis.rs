@@ -9,8 +9,8 @@
 //! so the same structs can feed CSV writers (see `epnet-bench::csv`).
 //!
 //! Everything here is a pure function of the record stream — analyses
-//! of a deterministic trace are themselves deterministic, which the
-//! smoke suite relies on when it diffs serial against parallel runs.
+//! of a deterministic trace are themselves deterministic, so two runs
+//! of the same scenario analyse to identical tables.
 
 use crate::tracecharts::{self, parse_rate};
 use epnet::power::RATE_LADDER;

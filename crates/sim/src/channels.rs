@@ -122,13 +122,6 @@ pub(crate) struct Channels {
     /// state — maintained incrementally at every rate/`F_OFF` write, so
     /// `asymmetric_link_samples` no longer needs a per-epoch link sweep.
     asym_links: u64,
-    /// Whether rate/`F_OFF` writes maintain `asym_links` incrementally.
-    /// Shard mirrors in the parallel engine turn this off: a mirror's
-    /// view of its peer channel can be stale when the peer lives on
-    /// another shard, so the incremental deltas would be garbage there.
-    /// The coordinator recounts from gathered authoritative state at
-    /// every epoch tick instead ([`Channels::recount_asymmetry`]).
-    asym_tracking: bool,
     // ---- cold ----
     pub cold: Vec<ChannelCold>,
 }
@@ -153,7 +146,6 @@ impl Channels {
             active_bits: Vec::with_capacity(n.div_ceil(64)),
             peer: Vec::with_capacity(n),
             asym_links: 0,
-            asym_tracking: true,
             cold: Vec::with_capacity(n),
         }
     }
@@ -193,14 +185,6 @@ impl Channels {
     #[inline]
     pub fn len(&self) -> usize {
         self.flags.len()
-    }
-
-    /// The smallest propagation delay of any channel — the parallel
-    /// engine's legacy *global* lookahead bound (`EPNET_PAR_LOOKAHEAD=
-    /// global`): no channel can deliver an event sooner than this after
-    /// its cause. `None` on an empty fabric.
-    pub fn min_propagation(&self) -> Option<SimTime> {
-        self.prop.iter().copied().min()
     }
 
     /// Wires the two channels of a link as peers (both directions).
@@ -270,11 +254,6 @@ impl Channels {
     /// `F_OFF` mutation funnels through here.
     #[inline]
     fn mutate_link_state(&mut self, i: usize, f: impl FnOnce(&mut Self)) {
-        if !self.asym_tracking {
-            f(self);
-            self.mark_active(i);
-            return;
-        }
         let was = self.link_is_asymmetric(i);
         f(self);
         let is = self.link_is_asymmetric(i);
@@ -286,82 +265,12 @@ impl Channels {
         self.mark_active(i);
     }
 
-    /// Stops maintaining the incremental asymmetry counter (shard
-    /// mirrors — see the `asym_tracking` field docs).
-    pub fn disable_asym_tracking(&mut self) {
-        self.asym_tracking = false;
-        self.asym_links = 0;
-    }
-
-    /// Recomputes `asym_links` from scratch. The parallel engine's
-    /// coordinator calls this on the gathered master state at every
-    /// epoch tick: the serial engine's sweep-mode cross-check asserts
-    /// that this recount always equals the incremental counter, so
-    /// substituting the recount preserves byte-identical reports.
-    pub fn recount_asymmetry(&mut self) {
-        let mut n = 0u64;
-        for i in 0..self.len() {
-            if (i as u32) < self.peer[i] && self.link_is_asymmetric(i) {
-                n += 1;
-            }
-        }
-        self.asym_links = n;
-    }
-
-    /// Inserts every channel into the active set. The coordinator's
-    /// gathered master state runs epoch ticks in sweep mode, whose
-    /// cross-check assertions require channels with residual occupancy
-    /// or overhang to be active; an all-active master trivially
-    /// satisfies that, and sweep-mode output never depends on set
-    /// membership.
-    pub fn mark_all_active(&mut self) {
-        for i in 0..self.len() {
-            self.mark_active(i);
-        }
-    }
-
-    /// Copies channel `i`'s mutable state from `src` (hot fields plus
-    /// the cold residency record, optionally the output queue). Static
-    /// topology fields (`prop`, `peer`), active-set membership, and the
-    /// pending credit-return ring are left alone — the ring travels
-    /// separately via [`Channels::copy_pending_credits_from`] on the
-    /// hybrid paths that need the coordinator's `try_tx` to apply
-    /// matured credits exactly as the owning shard would.
-    ///
-    /// This is the gather/scatter primitive of the parallel engine's
-    /// epoch-tick barrier: shard-authoritative channel ranges are
-    /// copied onto the coordinator's master `Channels`, the serial
-    /// epoch handler runs there, and the mutated state is copied back.
-    pub fn copy_channel_from(&mut self, src: &Channels, i: usize, include_queue: bool) {
-        self.occupancy[i] = src.occupancy[i];
-        self.credits[i] = src.credits[i];
-        self.rate[i] = src.rate[i];
-        self.available_at[i] = src.available_at[i];
-        self.flags[i] = src.flags[i];
-        self.busy_until[i] = src.busy_until[i];
-        self.busy_ps_epoch[i] = src.busy_ps_epoch[i];
-        self.train_len[i] = src.train_len[i];
-        self.train_bytes[i] = src.train_bytes[i];
-        self.cold[i] = src.cold[i].clone();
-        if include_queue {
-            self.queues[i].clear();
-            self.queues[i].extend(src.queues[i].iter().copied());
-        }
-    }
-
-    /// Replaces channel `i`'s pending credit-return ring with `src`'s.
-    ///
-    /// Under the hybrid model a flow demotion during the coordinator's
-    /// epoch phase re-enters the packet path *on the master*, whose
-    /// `try_tx` then applies matured credits and arms `CreditWake`
-    /// timers; the ring is gathered alongside the queue so those
-    /// decisions match the owning shard's state bit for bit, and the
-    /// consumed ring is scattered back to demoted channels. The credit
-    /// *pool* (buffer reuse) is deliberately not transferred — it only
-    /// affects allocation recycling, never simulated behavior.
-    pub fn copy_pending_credits_from(&mut self, src: &Channels, i: usize) {
-        self.pending_credits[i].clear();
-        self.pending_credits[i].extend(src.pending_credits[i].iter().copied());
+    /// Counts asymmetric links from scratch — the sweep-mode epoch
+    /// tick's cross-check of the incremental counter.
+    pub fn swept_asymmetric_links(&self) -> u64 {
+        (0..self.len())
+            .filter(|&i| (i as u32) < self.peer[i] && self.link_is_asymmetric(i))
+            .count() as u64
     }
 
     /// Sets the configured rate of channel `i`, maintaining the
@@ -751,46 +660,10 @@ mod tests {
         c.set_rate(0, LinkRate::MIN);
         c.set_off(2, SimTime::ZERO, true);
         assert_eq!(c.asymmetric_links(), 2);
-        c.recount_asymmetry();
-        assert_eq!(c.asymmetric_links(), 2, "recount must agree");
-        // A mirror with tracking disabled never drifts the counter on
-        // rate writes, and a later recount restores the true value.
-        c.disable_asym_tracking();
+        assert_eq!(c.swept_asymmetric_links(), 2, "recount must agree");
         c.set_rate(1, LinkRate::MIN);
-        assert_eq!(c.asymmetric_links(), 0);
-        c.recount_asymmetry();
         assert_eq!(c.asymmetric_links(), 1, "only the off link remains");
-    }
-
-    #[test]
-    fn copy_channel_from_transfers_mutable_state() {
-        let mut a = two();
-        let mut b = two();
-        a.occupancy[0] = 77;
-        a.set_rate(0, LinkRate::MIN);
-        a.busy_until[0] = SimTime::from_us(3);
-        a.note_interval(0, SimTime::from_us(1));
-        let mut arena = crate::packet::PacketArena::new();
-        let id = arena.place(
-            9,
-            crate::packet::Packet {
-                dst: epnet_topology::HostId::new(0),
-                bytes: 1,
-                created: SimTime::ZERO,
-                message: crate::packet::MessageId(0),
-                hops: 0,
-                misroutes_left: 0,
-            },
-        );
-        a.queues[0].push_back(id);
-        b.copy_channel_from(&a, 0, true);
-        assert_eq!(b.occupancy[0], 77);
-        assert_eq!(b.rate[0], LinkRate::MIN);
-        assert_eq!(b.busy_until[0], SimTime::from_us(3));
-        assert_eq!(b.cold[0].time_at_rate_ps, a.cold[0].time_at_rate_ps);
-        assert_eq!(b.queues[0].len(), 1);
-        b.copy_channel_from(&a, 1, false);
-        assert!(b.queues[1].is_empty());
+        assert_eq!(c.swept_asymmetric_links(), 1);
     }
 
     #[test]

@@ -346,9 +346,8 @@ impl SimConfigBuilder {
     }
 
     /// Sets the per-medium propagation delays explicitly (defaults:
-    /// 25 ns electrical, 50 ns optical). Zero is legal — and collapses
-    /// the parallel engine's lookahead in global mode, which falls back
-    /// to the serial loop.
+    /// 25 ns electrical, 50 ns optical). Zero is legal: credits then
+    /// return in the same instant the packet arrives.
     pub fn propagation(&mut self, electrical: SimTime, optical: SimTime) -> &mut Self {
         self.config.electrical_propagation = electrical;
         self.config.optical_propagation = optical;

@@ -121,8 +121,7 @@ pub(crate) enum RouteMode {
 #[derive(Debug)]
 pub struct Simulator<S> {
     /// The non-generic engine core: all simulation state except the
-    /// traffic source. The parallel engine (`EPNET_PAR`) instantiates
-    /// one core per shard — see [`crate::par`].
+    /// traffic source.
     pub(crate) core: Core,
     pub(crate) source: S,
     pub(crate) pending: Option<Message>,
@@ -135,30 +134,14 @@ pub struct Simulator<S> {
     phase_start: Instant,
 }
 
-/// Where a core's generated events go.
-///
-/// The serial engine schedules straight into its own [`EventQueue`].
-/// Under the sharded parallel engine every core runs in *window* mode:
-/// events inside the current lookahead window enter a shard-local
-/// ordered queue, everything else is recorded for the coordinator to
-/// push into the single global queue with exact serial sequence
-/// numbers (see `crate::par`).
-#[derive(Debug)]
-pub(crate) enum CoreQueue {
-    /// The serial engine's event queue.
-    Serial(EventQueue),
-    /// Window-capture mode for the parallel engine.
-    Window(crate::par::WindowQueue),
-}
-
 /// The engine core: every piece of simulation state except the traffic
-/// source, with all event handlers. Non-generic so the parallel engine
-/// can build one per shard and move them across worker threads.
+/// source, with all event handlers. Non-generic, so the handlers are
+/// compiled once rather than per traffic-source type.
 #[derive(Debug)]
 pub(crate) struct Core {
     pub(crate) fabric: FabricGraph,
     pub(crate) config: SimConfig,
-    pub(crate) queue: CoreQueue,
+    pub(crate) queue: EventQueue,
     pub(crate) now: SimTime,
     pub(crate) end: SimTime,
     pub(crate) channels: Channels,
@@ -238,9 +221,7 @@ impl<S: TrafficSource> Simulator<S> {
 
 impl Core {
     /// Builds an engine core over `fabric`, reporting through `inst`.
-    /// Shared by [`Simulator::new`] and the parallel engine's per-shard
-    /// core construction.
-    pub(crate) fn build(
+    fn build(
         fabric: FabricGraph,
         config: SimConfig,
         mut inst: Instruments,
@@ -348,7 +329,7 @@ impl Core {
             SimModel::Packet => n,
         };
         Self {
-            queue: CoreQueue::Serial(EventQueue::with_hint(queue_hint)),
+            queue: EventQueue::with_hint(queue_hint),
             fabric,
             config,
             now: SimTime::ZERO,
@@ -376,105 +357,6 @@ impl Core {
             pod_of_host,
             pod_bytes,
             inst,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at` — into the serial event
-    /// queue, or, in window mode, into the shard-local queue (events
-    /// inside the current window) or the generation log for the
-    /// coordinator to sequence (everything else). Window mode records
-    /// *every* generated event in the log so the coordinator's replay
-    /// can assign the exact serial sequence number to each.
-    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.schedule(at, event),
-            CoreQueue::Window(w) => w.record(at, event),
-        }
-    }
-
-    /// Earliest scheduled time in serial mode.
-    fn serial_peek(&mut self) -> Option<SimTime> {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.peek_time(),
-            CoreQueue::Window(_) => unreachable!("serial pop loop on a window-mode core"),
-        }
-    }
-
-    /// Pops the earliest event in serial mode. The parallel engine uses
-    /// this once, to drain the primed queue into the coordinator's
-    /// globally-sequenced queues.
-    pub(crate) fn serial_pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.queue {
-            CoreQueue::Serial(q) => q.pop(),
-            CoreQueue::Window(_) => unreachable!("serial pop loop on a window-mode core"),
-        }
-    }
-
-    /// Dispatches one shard-local event — the parallel engine's
-    /// counterpart of the serial pop loop's match. Global events
-    /// (`Workload`, `EpochTick`) are coordinator phases and never reach
-    /// a shard.
-    pub(crate) fn dispatch_local(&mut self, ev: Event, half: crate::par::ArriveHalf) {
-        use crate::par::ArriveHalf;
-        match ev {
-            Event::TxDone { channel } => self.on_tx_done(channel),
-            Event::Arrive { channel, packet } => {
-                let (credit, route) = match half {
-                    ArriveHalf::Full => (true, true),
-                    ArriveHalf::Credit => (true, false),
-                    ArriveHalf::Route => (false, true),
-                };
-                self.on_arrive(channel, packet, credit, route);
-            }
-            Event::CreditWake { channel } => self.on_credit_wake(channel),
-            Event::Retry { channel } => self.on_retry(channel),
-            Event::Workload | Event::EpochTick => {
-                unreachable!("global events are coordinator phases, never shard-dispatched")
-            }
-        }
-    }
-
-    /// Drains this core's window queue in (time, sequence) order,
-    /// dispatching each event and recording an execution record — the
-    /// per-dispatch high-water marks of the generation/free/timeline
-    /// logs and the trace sink — for the coordinator's barrier replay.
-    pub(crate) fn exec_window(&mut self, sink: Option<&epnet_telemetry::MemorySink>) {
-        loop {
-            let CoreQueue::Window(w) = &mut self.queue else {
-                unreachable!("exec_window on a serial core")
-            };
-            let Some(((t, seq), le)) = w.local.pop() else {
-                break;
-            };
-            debug_assert!(t >= self.now, "window events went backwards");
-            self.now = t;
-            let kind = match le.ev {
-                Event::TxDone { .. } => crate::par::KIND_TX_DONE,
-                Event::Arrive { .. } => crate::par::KIND_ARRIVE,
-                Event::CreditWake { .. } => crate::par::KIND_CREDIT_WAKE,
-                Event::Retry { .. } => crate::par::KIND_RETRY,
-                Event::Workload | Event::EpochTick => {
-                    unreachable!("global events never enter a shard window")
-                }
-            };
-            let half = le.half;
-            self.dispatch_local(le.ev, le.half);
-            let timeline_end = self.stats.timeline.len() as u32;
-            let trace_end = sink.map_or(0, |s| s.len() as u32);
-            let CoreQueue::Window(w) = &mut self.queue else {
-                unreachable!("queue mode changed mid-window")
-            };
-            w.execs.push(crate::par::ExecRec {
-                t,
-                seq,
-                kind,
-                half,
-                gen_end: w.gens.len() as u32,
-                pkt_free_end: w.freed_packets.len() as u32,
-                msg_free_end: w.freed_messages.len() as u32,
-                timeline_end,
-                trace_end,
-            });
         }
     }
 }
@@ -518,19 +400,10 @@ impl<S: TrafficSource> Simulator<S> {
         self.core.stats.events
     }
 
-    /// Runs the simulation until simulated time `end` and reports.
-    ///
-    /// When `EPNET_PAR` selects a worker width, the run executes on the
-    /// sharded parallel engine instead of the serial pop loop; its
-    /// report is byte-identical to the serial engine's at every width
-    /// (see `crate::par`). The phased API ([`Simulator::prime`] /
-    /// [`Simulator::advance_until`] / [`Simulator::finalize`]) always
-    /// runs serially.
+    /// Runs the simulation until simulated time `end` and reports:
+    /// exactly [`Simulator::prime`] + [`Simulator::advance_until`] +
+    /// [`Simulator::finalize`].
     pub fn run_until(mut self, end: SimTime) -> SimReport {
-        if let Some(width) = crate::env::env_threads("EPNET_PAR") {
-            self.prime(end);
-            return crate::par::run(self, end, width);
-        }
         self.prime(end);
         self.advance_until(end);
         self.finalize()
@@ -554,14 +427,14 @@ impl<S: TrafficSource> Simulator<S> {
         }
         self.pending = self.source.next_message();
         if let Some(m) = self.pending {
-            self.core.schedule(m.at, Event::Workload);
+            self.core.queue.schedule(m.at, Event::Workload);
         }
         self.core.controller_active = self.core.config.control != ControlMode::AlwaysFull
             || self.core.dyntopo.is_some()
             || self.core.model == SimModel::Hybrid;
         if self.core.controller_active {
             let epoch = self.core.config.epoch;
-            self.core.schedule(epoch, Event::EpochTick);
+            self.core.queue.schedule(epoch, Event::EpochTick);
         }
         self.in_warmup = self.core.config.warmup > SimTime::ZERO;
         self.phase_start = Instant::now();
@@ -596,7 +469,7 @@ impl<S: TrafficSource> Simulator<S> {
         let mut n_credit_wake = 0u64;
         let mut n_retry = 0u64;
         let mut n_epoch_tick = 0u64;
-        while let Some(t) = self.core.serial_peek() {
+        while let Some(t) = self.core.queue.peek_time() {
             if t > cap {
                 break;
             }
@@ -609,7 +482,7 @@ impl<S: TrafficSource> Simulator<S> {
                 self.in_warmup = false;
             }
             debug_assert!(t >= self.core.now, "time went backwards");
-            let (t, ev) = self.core.serial_pop().expect("peeked event vanished");
+            let (t, ev) = self.core.queue.pop().expect("peeked event vanished");
             self.core.now = t;
             self.core.stats.events += 1;
             match ev {
@@ -623,7 +496,7 @@ impl<S: TrafficSource> Simulator<S> {
                 }
                 Event::Arrive { channel, packet } => {
                     n_arrive += 1;
-                    self.core.on_arrive(channel, packet, true, true);
+                    self.core.on_arrive(channel, packet);
                 }
                 Event::CreditWake { channel } => {
                     n_credit_wake += 1;
@@ -684,7 +557,7 @@ impl<S: TrafficSource> Simulator<S> {
         }
         if let Some(m) = self.pending {
             if m.at <= self.core.end {
-                self.core.schedule(m.at, Event::Workload);
+                self.core.queue.schedule(m.at, Event::Workload);
             }
         }
     }
@@ -744,14 +617,6 @@ impl Core {
                 MessageId(slot)
             }
         };
-        // In window mode this core is the parallel coordinator's master
-        // and the caller is a flow demotion inside an epoch phase (shard
-        // cores never inject). Log what was created so the coordinator
-        // can mirror the message record, the packet payloads, and the
-        // mutated queue out to the owning shards after `on_epoch`.
-        if let CoreQueue::Window(w) = &mut self.queue {
-            w.demoted_msgs.push((message.raw(), dst.raw()));
-        }
         let budget = match self.config.routing {
             RoutingPolicy::MinimalAdaptive => 0,
             RoutingPolicy::Ugal {
@@ -772,9 +637,6 @@ impl Core {
                 hops: 0,
                 misroutes_left: budget,
             });
-            if let CoreQueue::Window(w) = &mut self.queue {
-                w.demoted_packets.push((inj.raw(), id));
-            }
             self.enqueue(inj, id, bytes);
         }
         self.try_tx(inj);
@@ -818,7 +680,8 @@ impl Core {
         if now < available_at {
             if flags & F_RETRY == 0 {
                 self.channels.set_flag(i, F_RETRY);
-                self.schedule(available_at, Event::Retry { channel: ch });
+                self.queue
+                    .schedule(available_at, Event::Retry { channel: ch });
             }
             return;
         }
@@ -844,7 +707,7 @@ impl Core {
                             u64::from(credits),
                         );
                     }
-                    self.schedule(at, Event::CreditWake { channel: ch });
+                    self.queue.schedule(at, Event::CreditWake { channel: ch });
                 }
             }
             return;
@@ -854,7 +717,7 @@ impl Core {
         let rate = self.channels.rate[i];
         let extra = self.arrive_extra[i];
         let mut tail = now + SimTime::from_ps(rate.serialize_ps(u64::from(head_bytes)));
-        self.schedule(
+        self.queue.schedule(
             tail + extra,
             Event::Arrive {
                 channel: ch,
@@ -889,7 +752,7 @@ impl Core {
             tail = next_tail;
             train_len += 1;
             train_bytes += u64::from(next_bytes);
-            self.schedule(
+            self.queue.schedule(
                 tail + extra,
                 Event::Arrive {
                     channel: ch,
@@ -915,10 +778,10 @@ impl Core {
         self.channels.train_len[i] = train_len;
         self.channels.train_bytes[i] = train_bytes;
         self.stats.busy_ps_total += u128::from(ser.as_ps());
-        self.schedule(tail, Event::TxDone { channel: ch });
+        self.queue.schedule(tail, Event::TxDone { channel: ch });
     }
 
-    pub(crate) fn on_tx_done(&mut self, ch: ChannelId) {
+    fn on_tx_done(&mut self, ch: ChannelId) {
         let i = ch.index();
         let train_len = self.channels.train_len[i];
         debug_assert!(train_len >= 1, "TxDone without a train");
@@ -946,7 +809,7 @@ impl Core {
 
     /// A credit-blocked channel's pending return matured: clear the
     /// wake latch, trace the unblock, and retry transmission.
-    pub(crate) fn on_credit_wake(&mut self, ch: ChannelId) {
+    fn on_credit_wake(&mut self, ch: ChannelId) {
         let i = ch.index();
         self.channels.clear_flag(i, F_CREDIT_WAKE);
         if self.inst.on(TraceCategory::Credit) {
@@ -963,7 +826,7 @@ impl Core {
 
     /// A reconfiguring channel became available again: clear the retry
     /// latch and resume transmission.
-    pub(crate) fn on_retry(&mut self, ch: ChannelId) {
+    fn on_retry(&mut self, ch: ChannelId) {
         self.channels.clear_flag(ch.index(), F_RETRY);
         // A Retry matures exactly at `available_at`: the link carries
         // traffic again, closing the reactivation window — traced here
@@ -977,92 +840,55 @@ impl Core {
         self.try_tx(ch);
     }
 
-    /// Retires a delivered packet. Serial cores free into their own
-    /// arena; window-mode cores are mirrors — they record the freed
-    /// slot for the coordinator's replica and retire their local copy
-    /// without free-list bookkeeping.
-    fn free_packet(&mut self, pkt: PacketId) -> Packet {
-        match &mut self.queue {
-            CoreQueue::Serial(_) => self.arena.free(pkt),
-            CoreQueue::Window(w) => {
-                w.freed_packets.push(pkt.index() as u32);
-                self.arena.take(pkt)
-            }
-        }
-    }
-
-    /// Retires a completed message slot — same split as
-    /// [`Core::free_packet`]: serial cores recycle locally, window-mode
-    /// cores record for the coordinator's replica.
-    fn free_message(&mut self, mid: u32) {
-        match &mut self.queue {
-            CoreQueue::Serial(_) => self.msg_free.push(mid),
-            CoreQueue::Window(w) => w.freed_messages.push(mid),
-        }
-    }
-
-    /// Handles a packet-tail arrival. The two halves touch disjoint
-    /// state: the *credit* half books the return credit on the sending
-    /// channel, the *route* half forwards (or delivers) the packet on
-    /// the receiving side. The serial engine always runs both; the
-    /// parallel engine splits a cross-shard arrival into a credit half
-    /// on the sender's shard and a route half on the receiver's.
-    pub(crate) fn on_arrive(
-        &mut self,
-        ch: ChannelId,
-        pkt: PacketId,
-        do_credit: bool,
-        do_route: bool,
-    ) {
+    /// Handles a packet-tail arrival: books the return credit on the
+    /// sending channel, then forwards (or delivers) the packet on the
+    /// receiving side.
+    fn on_arrive(&mut self, ch: ChannelId, pkt: PacketId) {
         let i = ch.index();
-        if do_credit {
-            // Credits travel back once the packet has cleared the input
-            // buffer; charging the propagation delay models the return
-            // trip. The return is bookkept on the channel and applied
-            // lazily in `try_tx` instead of costing a scheduled event
-            // per packet; an idle channel with work waiting is parked on
-            // exactly this credit, so arm its wake.
-            let bytes = self.arena.get(pkt).bytes;
-            let matures = self.now + self.channels.prop[i];
-            self.channels.push_credit(i, matures, bytes);
-            if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
-                && !self.channels.queues[i].is_empty()
-                && self.now >= self.channels.available_at[i]
-            {
-                self.channels.set_flag(i, F_CREDIT_WAKE);
-                if self.inst.on(TraceCategory::Credit) {
-                    let needed = self.channels.queues[i]
-                        .front()
-                        .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
-                    let credits = u64::from(self.channels.credits[i]);
-                    self.inst
-                        .tracer()
-                        .credit(self.now.as_ps(), ch.raw(), "block", needed, credits);
-                }
-                self.schedule(matures, Event::CreditWake { channel: ch });
+        // Credits travel back once the packet has cleared the input
+        // buffer; charging the propagation delay models the return
+        // trip. The return is bookkept on the channel and applied
+        // lazily in `try_tx` instead of costing a scheduled event
+        // per packet; an idle channel with work waiting is parked on
+        // exactly this credit, so arm its wake.
+        let bytes = self.arena.get(pkt).bytes;
+        let matures = self.now + self.channels.prop[i];
+        self.channels.push_credit(i, matures, bytes);
+        if self.channels.flags[i] & (F_BUSY | F_CREDIT_WAKE) == 0
+            && !self.channels.queues[i].is_empty()
+            && self.now >= self.channels.available_at[i]
+        {
+            self.channels.set_flag(i, F_CREDIT_WAKE);
+            if self.inst.on(TraceCategory::Credit) {
+                let needed = self.channels.queues[i]
+                    .front()
+                    .map_or(0, |&p| u64::from(self.arena.get(p).bytes));
+                let credits = u64::from(self.channels.credits[i]);
+                self.inst
+                    .tracer()
+                    .credit(self.now.as_ps(), ch.raw(), "block", needed, credits);
             }
+            self.queue
+                .schedule(matures, Event::CreditWake { channel: ch });
         }
-        if do_route {
-            match self.targets[i] {
-                PortTarget::Host(h) => {
-                    debug_assert_eq!(self.arena.get(pkt).dst, h, "misrouted packet");
-                    let packet = self.free_packet(pkt);
-                    self.stats
-                        .record_packet(packet.created, self.now, packet.bytes);
-                    if !self.pod_bytes.is_empty() {
-                        self.pod_bytes[self.pod_of_host[h.index()] as usize] +=
-                            u64::from(packet.bytes);
-                    }
-                    let mi = packet.message.index();
-                    let rec = &mut self.messages[mi];
-                    rec.remaining -= 1;
-                    if rec.remaining == 0 {
-                        self.stats.record_message(rec.offered_at, self.now);
-                        self.free_message(packet.message.raw());
-                    }
+        match self.targets[i] {
+            PortTarget::Host(h) => {
+                debug_assert_eq!(self.arena.get(pkt).dst, h, "misrouted packet");
+                let packet = self.arena.free(pkt);
+                self.stats
+                    .record_packet(packet.created, self.now, packet.bytes);
+                if !self.pod_bytes.is_empty() {
+                    self.pod_bytes[self.pod_of_host[h.index()] as usize] += u64::from(packet.bytes);
                 }
-                PortTarget::Switch { switch, .. } => self.route(switch, pkt),
+                let mi = packet.message.index();
+                let rec = &mut self.messages[mi];
+                rec.remaining -= 1;
+                if rec.remaining == 0 {
+                    self.stats.record_message(rec.offered_at, self.now);
+                    self.msg_free.push(packet.message.raw());
+                }
             }
+            PortTarget::Switch { switch, .. } => self.route(switch, pkt),
         }
     }
 
@@ -1262,7 +1088,7 @@ impl Core {
     /// O(topology) reference. Controller tracing forces the sweep:
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
-    pub(crate) fn on_epoch(&mut self) {
+    fn on_epoch(&mut self) {
         let tick_start = Instant::now();
         // Fluid flows advance before the controller reads per-channel
         // utilization: the epoch's busy picoseconds then include fluid
@@ -1288,18 +1114,7 @@ impl Core {
         if decisions_enabled {
             self.stats.link_samples += self.fabric.num_links() as u64;
             if sweep {
-                let mut asymmetric = 0u64;
-                for link in 0..self.fabric.num_links() {
-                    let (a, b) = self
-                        .fabric
-                        .link_channels(epnet_topology::LinkId::new(link as u32));
-                    let (ia, ib) = (a.index(), b.index());
-                    if self.channels.rate[ia] != self.channels.rate[ib]
-                        || self.channels.has_flag(ia, F_OFF) != self.channels.has_flag(ib, F_OFF)
-                    {
-                        asymmetric += 1;
-                    }
-                }
+                let asymmetric = self.channels.swept_asymmetric_links();
                 debug_assert_eq!(
                     asymmetric,
                     self.channels.asymmetric_links(),
@@ -1369,7 +1184,7 @@ impl Core {
         let next = self.now + epoch;
         self.epoch_end = next;
         if next <= self.end {
-            self.schedule(next, Event::EpochTick);
+            self.queue.schedule(next, Event::EpochTick);
         }
         self.stats.epoch_ticks += 1;
         self.inst
@@ -1600,7 +1415,7 @@ impl Core {
     // Reporting
     // ------------------------------------------------------------------
 
-    pub(crate) fn finish(mut self) -> SimReport {
+    fn finish(mut self) -> SimReport {
         let finalize_start = Instant::now();
         if self.model == SimModel::Hybrid {
             // Close the partial window between the last epoch tick and

@@ -1,11 +1,9 @@
 //! Shared parsing for runtime environment switches.
 //!
-//! Two runtime switches accept a worker count: `EPNET_THREADS` (the
-//! sweep/campaign job pool from `epnet::exp`) and `EPNET_PAR` (the
-//! sharded parallel engine in this crate). Both use the same grammar,
-//! parsed here exactly once: a positive integer enables the feature at
-//! that width; `off`, `0`, an empty value, or anything unparseable
-//! means "not set".
+//! `EPNET_THREADS` sizes the sweep/campaign job pool from `epnet::exp`.
+//! Its grammar is parsed here exactly once: a positive integer enables
+//! the pool at that width; `off`, `0`, an empty value, or anything
+//! unparseable means "not set".
 //!
 //! `EPNET_MODEL` selects the simulation regime (`packet` or `hybrid`)
 //! and is parsed here too, with the same reject-unknown-value contract
@@ -13,14 +11,12 @@
 //! prints an error to stderr and falls back to the default rather than
 //! silently simulating something the user did not ask for.
 
-/// Parses a thread-width environment variable.
+/// Parses a thread-width value.
 ///
-/// Returns `Some(n)` for a positive integer value `n`, and `None` when
-/// the variable is unset, empty, `off`, `0`, or not a number. Callers
-/// that need a machine-derived default (like the sweep worker pool)
-/// layer it on top of the `None` case.
-pub fn env_threads(var: &str) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
+/// Returns `Some(n)` for a positive integer `n` (surrounding whitespace
+/// ignored), and `None` for an empty value, `off`, `0`, or anything
+/// that is not a number.
+pub fn parse_threads(raw: &str) -> Option<usize> {
     let v = raw.trim();
     if v.is_empty() || v.eq_ignore_ascii_case("off") {
         return None;
@@ -29,6 +25,14 @@ pub fn env_threads(var: &str) -> Option<usize> {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
     }
+}
+
+/// Reads a thread-width environment variable with [`parse_threads`];
+/// an unset variable is `None`. Callers that need a machine-derived
+/// default (like the sweep worker pool) layer it on top of the `None`
+/// case.
+pub fn env_threads(var: &str) -> Option<usize> {
+    parse_threads(&std::env::var(var).ok()?)
 }
 
 /// Which simulation regime the engine runs.
@@ -86,15 +90,9 @@ pub fn env_model() -> SimModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `std::env` is process-global; serialize the twiddling.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parses_positive_widths_and_rejects_everything_else() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let var = "EPNET_ENV_THREADS_TEST";
         for (value, expect) in [
             ("4", Some(4)),
             ("1", Some(1)),
@@ -106,16 +104,13 @@ mod tests {
             ("many", None),
             ("-2", None),
         ] {
-            std::env::set_var(var, value);
-            assert_eq!(env_threads(var), expect, "value {value:?}");
+            assert_eq!(parse_threads(value), expect, "value {value:?}");
         }
-        std::env::remove_var(var);
-        assert_eq!(env_threads(var), None, "unset");
+        assert_eq!(env_threads("EPNET_ENV_THREADS_TEST_UNSET"), None, "unset");
     }
 
     #[test]
     fn parses_models_and_pins_the_unknown_value_message() {
-        let _guard = ENV_LOCK.lock().unwrap();
         for (value, expect) in [
             ("packet", Ok(SimModel::Packet)),
             ("PACKET", Ok(SimModel::Packet)),

@@ -157,17 +157,15 @@ impl FlowTable {
 impl Core {
     /// Standing-queue bytes beyond which a channel is "congestion
     /// onset" for regime decisions.
-    pub(crate) fn flow_congestion_limit(&self) -> u64 {
+    fn flow_congestion_limit(&self) -> u64 {
         CONGESTION_PACKETS * u64::from(self.config.packet_bytes)
     }
 
     /// The greedy minimal path `m` would pin if absorbed — injection
     /// channel, switch hops, ejection channel. Reads only the fabric
-    /// and the dyntopo mask (never live channel state), so the parallel
-    /// coordinator can run it on the master core and apply the
-    /// steadiness gate against shard-owned channel copies. `None` when
+    /// and the dyntopo mask (never live channel state). `None` when
     /// the walk exceeds [`MAX_FLOW_HOPS`] or dead-ends under the mask.
-    pub(crate) fn flow_path(&mut self, m: &Message) -> Option<([u32; MAX_FLOW_HOPS], u8)> {
+    fn flow_path(&mut self, m: &Message) -> Option<([u32; MAX_FLOW_HOPS], u8)> {
         let dst_switch = self.host_switch[m.dst.index()];
         let mut path = [0u32; MAX_FLOW_HOPS];
         path[0] = self.fabric.injection_channel(m.src).raw();
@@ -206,36 +204,27 @@ impl Core {
         Some((path, (len + 1) as u8))
     }
 
-    /// Steadiness gate over this core's channel state: any interesting
-    /// dynamics on the path keep the message at packet fidelity.
-    pub(crate) fn flow_path_is_steady(&self, path: &[u32]) -> bool {
-        let limit = self.flow_congestion_limit();
-        path.iter().all(|&c| {
-            let i = c as usize;
-            self.channels.flags[i] & (F_OFF | F_DRAINING) == 0
-                && self.channels.occupancy[i] <= limit
-        })
-    }
-
-    /// Commits `m` into the flow table on an already-validated path.
-    pub(crate) fn absorb_flow(&mut self, m: &Message, path: [u32; MAX_FLOW_HOPS], len: u8) {
-        self.flows.alloc(m.bytes, m.at, m.dst.raw(), path, len);
-        self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
-    }
-
     /// Attempts to absorb `m` into the fluid regime. Returns `false` —
     /// send it down the packet path — when the greedy minimal path
     /// exceeds [`MAX_FLOW_HOPS`] or crosses a channel that is powered
-    /// off, draining, or congested. Caller has already gated on the
-    /// hybrid model and [`FLOW_MIN_BYTES`].
+    /// off, draining, or congested: any interesting dynamics on the
+    /// path keep the message at packet fidelity. Caller has already
+    /// gated on the hybrid model and [`FLOW_MIN_BYTES`].
     pub(crate) fn try_absorb_flow(&mut self, m: &Message) -> bool {
         let Some((path, len)) = self.flow_path(m) else {
             return false;
         };
-        if !self.flow_path_is_steady(&path[..len as usize]) {
+        let limit = self.flow_congestion_limit();
+        let steady = path[..len as usize].iter().all(|&c| {
+            let i = c as usize;
+            self.channels.flags[i] & (F_OFF | F_DRAINING) == 0
+                && self.channels.occupancy[i] <= limit
+        });
+        if !steady {
             return false;
         }
-        self.absorb_flow(m, path, len);
+        self.flows.alloc(m.bytes, m.at, m.dst.raw(), path, len);
+        self.inst.metrics.add(self.inst.ids.flows_absorbed, 1);
         true
     }
 

@@ -34,15 +34,6 @@
 //! choice never changes simulation output — reports are byte-identical
 //! either way.
 //!
-//! `EPNET_PAR=N` runs the simulation itself on the sharded parallel
-//! engine: the fabric is partitioned across `N` worker shards by
-//! switch group and executed in conservatively-synchronized windows
-//! bounded by the minimum channel propagation delay (see the module
-//! docs of `par.rs`). Like every other switch it is an execution
-//! detail — [`SimReport`]s and merged trace streams are byte-identical
-//! to the serial engine at every width, enforced by
-//! `tests/tests/par_modes.rs`.
-//!
 //! # Example
 //!
 //! ```
@@ -76,7 +67,6 @@ mod event;
 mod flows;
 mod instrument;
 mod packet;
-mod par;
 pub mod sched;
 mod stats;
 mod time;
@@ -88,7 +78,7 @@ pub use config::{
 };
 pub use dyntopo::{DynamicTopology, DynamicTopologyConfig};
 pub use engine::Simulator;
-pub use env::{env_model, env_threads, parse_model, SimModel};
+pub use env::{env_model, env_threads, parse_model, parse_threads, SimModel};
 pub use packet::MessageId;
 pub use sched::{Backend, Scheduler};
 pub use stats::{LatencyHistogram, RateResidency, SimReport, TimelineEvent};

@@ -115,92 +115,6 @@ impl PacketArena {
         self.slots[id.index()]
     }
 
-    /// Writes `packet` at an externally-assigned `slot`, growing the
-    /// arena as needed, and returns an id valid for this arena.
-    ///
-    /// This is the mirror-arena entry point of the sharded parallel
-    /// engine: slot numbers are assigned once, globally, at injection
-    /// time (so tie-breaking keys that mix in `PacketId::index` match
-    /// the serial engine bit for bit), and each shard materializes the
-    /// payload at that same global slot when a packet crosses into it.
-    /// Unlike [`alloc`](Self::alloc), no free-list or live-count
-    /// bookkeeping happens — mirrors retire packets with
-    /// [`take`](Self::take) and the coordinator replays frees against
-    /// its own replica arena.
-    pub fn place(&mut self, slot: u32, packet: Packet) -> PacketId {
-        let idx = slot as usize;
-        if idx >= self.slots.len() {
-            // Gap slots hold copies of `packet`; they are dead until a
-            // later `place` overwrites them.
-            self.slots.resize(idx + 1, packet);
-            #[cfg(debug_assertions)]
-            self.generations.resize(idx + 1, 0);
-        }
-        self.slots[idx] = packet;
-        PacketId {
-            slot,
-            #[cfg(debug_assertions)]
-            generation: self.generations[idx],
-        }
-    }
-
-    /// Mirrors a live packet from `src` into this arena at the same
-    /// global slot — `place` fed by `get`, fused so the parallel
-    /// engine's batched cross-shard mirror pass reads the sender's
-    /// arena and writes the receiver's in one call per packet.
-    #[inline]
-    pub fn mirror_from(&mut self, src: &PacketArena, id: PacketId) -> PacketId {
-        self.place(id.slot, *src.get(id))
-    }
-
-    /// Re-mints an id for `slot` under this arena's current generation.
-    ///
-    /// Queue contents travel between the parallel engine's shard cores
-    /// and the coordinator's replica as raw slot numbers (the epoch
-    /// barrier copies `VecDeque<PacketId>` wholesale), but each arena
-    /// counts generations independently, so a transferred id must be
-    /// adopted before the receiving arena dereferences it. In release
-    /// builds an id *is* its slot and this is the identity function.
-    #[inline]
-    pub fn adopt(&self, slot: u32) -> PacketId {
-        PacketId {
-            slot,
-            #[cfg(debug_assertions)]
-            generation: self.generations[slot as usize],
-        }
-    }
-
-    /// Retires a slot by bare index — the coordinator's replica-arena
-    /// form of [`free`](Self::free). The parallel engine's workers
-    /// record freed slot numbers (their `PacketId` generations are
-    /// shard-local and meaningless here); replaying them through the
-    /// replica in serial event order reproduces the serial engine's
-    /// free list — and therefore its slot assignment and
-    /// `peak_live_packets` — exactly.
-    pub fn free_slot(&mut self, slot: u32) {
-        #[cfg(debug_assertions)]
-        {
-            let g = &mut self.generations[slot as usize];
-            *g = g.wrapping_add(1);
-        }
-        self.live -= 1;
-        self.free.push(slot);
-    }
-
-    /// Retires a mirrored packet: like [`free`](Self::free) it advances
-    /// the slot generation and returns the record, but the slot is not
-    /// pushed onto this arena's free list (mirrors never allocate —
-    /// global slot reuse is the coordinator's job).
-    pub fn take(&mut self, id: PacketId) -> Packet {
-        self.check(id);
-        #[cfg(debug_assertions)]
-        {
-            let g = &mut self.generations[id.slot as usize];
-            *g = g.wrapping_add(1);
-        }
-        self.slots[id.index()]
-    }
-
     /// Immutable access to a live packet.
     #[inline]
     pub fn get(&self, id: PacketId) -> &Packet {
@@ -294,37 +208,6 @@ mod tests {
             arena.alloc(pkt(i));
         }
         assert_eq!(arena.capacity(), 10, "slots recycled");
-    }
-
-    #[test]
-    fn place_and_take_mirror_global_slots() {
-        let mut arena = PacketArena::new();
-        // Out-of-order placement grows the arena to cover the slot.
-        let b = arena.place(3, pkt(300));
-        assert_eq!(b.index(), 3);
-        let a = arena.place(1, pkt(100));
-        assert_eq!(arena.get(a).bytes, 100);
-        assert_eq!(arena.get(b).bytes, 300);
-        // Take retires without feeding the local free list: a fresh
-        // place at the same global slot is valid again.
-        assert_eq!(arena.take(b).bytes, 300);
-        let b2 = arena.place(3, pkt(301));
-        assert_eq!(arena.get(b2).bytes, 301);
-        assert_eq!(arena.live(), 0, "mirrors never count live packets");
-    }
-
-    #[test]
-    fn mirror_from_copies_the_payload_at_the_same_slot() {
-        let mut src = PacketArena::new();
-        let mut dst = PacketArena::new();
-        let a = src.alloc(pkt(100));
-        let b = src.alloc(pkt(200));
-        let mb = dst.mirror_from(&src, b);
-        let ma = dst.mirror_from(&src, a);
-        assert_eq!(ma.index(), a.index());
-        assert_eq!(mb.index(), b.index());
-        assert_eq!(dst.get(ma).bytes, 100);
-        assert_eq!(dst.get(mb).bytes, 200);
     }
 
     #[test]

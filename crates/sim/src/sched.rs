@@ -506,106 +506,6 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// A min-queue over *caller-supplied* `(time, seq)` keys.
-///
-/// [`Scheduler`] assigns sequence numbers itself (push order), which is
-/// exactly right for a single serial event loop. The sharded parallel
-/// engine instead needs to insert items whose sequence numbers were
-/// assigned elsewhere — the coordinator's global push counter — and to
-/// re-seed per-window shard queues with the keys events already carry.
-/// This queue is the thin building block for that: an explicit-key
-/// binary heap popping in ascending `(time, seq)` order.
-#[derive(Debug)]
-pub struct KeyedQueue<T> {
-    heap: BinaryHeap<KeyedEntry<T>>,
-}
-
-struct KeyedEntry<T> {
-    key: (SimTime, u64),
-    item: T,
-}
-
-impl<T> std::fmt::Debug for KeyedEntry<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KeyedEntry")
-            .field("key", &self.key)
-            .finish()
-    }
-}
-
-impl<T> PartialEq for KeyedEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<T> Eq for KeyedEntry<T> {}
-
-impl<T> Ord for KeyedEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: std's max-heap then yields the smallest key first.
-        other.key.cmp(&self.key)
-    }
-}
-
-impl<T> PartialOrd for KeyedEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Default for KeyedQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> KeyedQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Inserts `item` under an explicit `(time, seq)` key.
-    ///
-    /// Duplicate keys are allowed but pop in unspecified relative
-    /// order; callers that care (the parallel engine does) must keep
-    /// keys unique.
-    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.heap.push(KeyedEntry {
-            key: (at, seq),
-            item,
-        });
-    }
-
-    /// Removes and returns the smallest-keyed item.
-    pub fn pop(&mut self) -> Option<((SimTime, u64), T)> {
-        self.heap.pop().map(|e| (e.key, e.item))
-    }
-
-    /// The smallest key currently queued, if any.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| e.key)
-    }
-
-    /// Number of pending items.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending items, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,22 +679,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn keyed_queue_pops_in_ascending_key_order() {
-        let mut q = KeyedQueue::new();
-        assert!(q.is_empty());
-        q.push(SimTime::from_ps(30), 0, "c");
-        q.push(SimTime::from_ps(10), 5, "b");
-        q.push(SimTime::from_ps(10), 2, "a");
-        q.push(SimTime::from_ps(40), 1, "d");
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_key(), Some((SimTime::from_ps(10), 2)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-        assert_eq!(order, ["a", "b", "c", "d"]);
-        q.push(SimTime::from_ps(1), 0, "e");
-        q.clear();
-        assert!(q.pop().is_none());
     }
 }

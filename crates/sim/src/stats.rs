@@ -50,17 +50,6 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Adds every sample of `other` into this histogram. Buckets are
-    /// position-aligned (both sides are 64-wide log₂ ladders), so the
-    /// merge is exact: the result equals recording both sample streams
-    /// into one histogram in any order.
-    pub(crate) fn merge_from(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-    }
-
     /// Exclusive upper edges of the log₂ buckets, nanoseconds.
     ///
     /// `edges[i]` is the value [`quantile_ns`](Self::quantile_ns)
@@ -178,29 +167,6 @@ impl Stats {
         }
         self.messages += 1;
         self.message_latency_sum_ps += u128::from((completed - created).as_ps());
-    }
-
-    /// Folds a parallel worker's measurement state into this
-    /// (coordinator) one. Delivery-side quantities are disjoint sums
-    /// over shards, `peak_queue_bytes` is a per-channel watermark so
-    /// the maximum of shard maxima equals the serial maximum.
-    /// Coordinator-only quantities — `offered_bytes` (injection),
-    /// `events` (counted once per pop during window replay),
-    /// link-sample and epoch-tick counters, the timeline (merged by
-    /// event key elsewhere) — are deliberately untouched.
-    pub fn merge_worker(&mut self, w: &Stats) {
-        debug_assert_eq!(self.warmup, w.warmup, "workers must share the warmup");
-        self.packets += w.packets;
-        self.packet_latency_sum_ps += w.packet_latency_sum_ps;
-        self.packet_hist.merge_from(&w.packet_hist);
-        self.messages += w.messages;
-        self.message_latency_sum_ps += w.message_latency_sum_ps;
-        self.delivered_bytes += w.delivered_bytes;
-        self.measured_delivered_bytes += w.measured_delivered_bytes;
-        self.busy_ps_total += w.busy_ps_total;
-        self.reconfigurations += w.reconfigurations;
-        self.dropped_for_warmup += w.dropped_for_warmup;
-        self.peak_queue_bytes = self.peak_queue_bytes.max(w.peak_queue_bytes);
     }
 }
 
@@ -334,12 +300,11 @@ pub struct SimReport {
     /// controller-work numerator behind `BENCH_load.json`'s
     /// decisions-per-tick column.
     pub controller_decisions: u64,
-    /// Execution-strategy diagnostics, keyed by metric name — the
-    /// parallel engine's window counters (`par_windows`,
-    /// `par_window_events`, `par_replay_events`, `par_cross_batches`,
-    /// …). These vary with `EPNET_PAR` width and lookahead mode, so —
-    /// like [`phases`](Self::phases) — they are never serialized; the
-    /// serialized report stays byte-identical across engines.
+    /// Diagnostic counters, keyed by metric name — the hybrid model's
+    /// flow counters (`flows_absorbed`, `flows_demoted`, …). They are
+    /// zero in packet mode and — like [`phases`](Self::phases) — never
+    /// serialized, so packet-mode reports stay byte-identical to
+    /// pre-hybrid ones.
     pub diagnostics: BTreeMap<String, u64>,
     /// Delivered bytes rolled up per pod (contiguous switch groups, at
     /// most 64) — the hybrid model's bounded-memory substitute for
@@ -749,7 +714,7 @@ mod tests {
         });
         r.epoch_ticks = 99;
         r.controller_decisions = 1234;
-        r.diagnostics.insert("par_windows".to_string(), 42);
+        r.diagnostics.insert("flows_absorbed".to_string(), 42);
         let v = r.to_value();
         assert!(v.get("metrics").is_some());
         assert!(
@@ -767,7 +732,7 @@ mod tests {
         );
         assert!(
             v.get("diagnostics").is_none(),
-            "execution-strategy diagnostics must never be serialized"
+            "diagnostics must never be serialized"
         );
         let back = SimReport::from_value(&v).unwrap();
         assert_eq!(back.metrics.get("events_workload"), Some(&7));

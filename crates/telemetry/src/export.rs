@@ -18,7 +18,6 @@
 //! | `credit` `block`→`unblock` | duration slice (`ph:"X"`) `credit stall` | channel's thread |
 //! | `routes` | instant `route rebuild` (args `generation`, `build_ns`, `entries`, `switches`) | `engine` / `route rebuilds` |
 //! | `detour` | instant `detour` | switch process / `detours` (or `engine` / `detours` without a layout) |
-//! | `parallel` | duration slice `window` spanning `start_ps`→`at_ps` | `parallel engine` / `windows` |
 //!
 //! Channels are grouped into one process per switch when a
 //! [`TrackLayout`] is provided (channel numbering is positional:
@@ -46,10 +45,9 @@ use std::collections::{BTreeMap, HashSet};
 
 /// Process id for controller decisions and route rebuilds.
 const PID_ENGINE: u64 = 1;
-/// Process id for parallel-engine window slices.
-const PID_PARALLEL: u64 = 2;
 /// Process id for host injection channels (with a layout) or for the
-/// single flat channel group (without one).
+/// single flat channel group (without one). Pid 2 stays unused so
+/// exports keep the process ids earlier releases wrote.
 const PID_CHANNELS: u64 = 3;
 /// First switch process id; switch `s` is `PID_SWITCH_BASE + s`.
 const PID_SWITCH_BASE: u64 = 4;
@@ -249,7 +247,7 @@ impl Builder {
 /// switch; without one, channels share a flat process. The conversion
 /// is a pure function of the record stream — identical records always
 /// render identical bytes, which is what lets the smoke suite assert
-/// serial and parallel captures export identically.
+/// that two captures of the same scenario export identically.
 pub fn chrome_trace(records: &[TraceRecord], layout: Option<TrackLayout>) -> ChromeTrace {
     let mut b = Builder::new(layout);
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
@@ -403,31 +401,6 @@ pub fn chrome_trace(records: &[TraceRecord], layout: Option<TrackLayout>) -> Chr
                     ],
                 );
             }
-            TraceRecord::Parallel {
-                at_ps,
-                start_ps,
-                shards,
-                events,
-                replay_events,
-                cross_batches,
-                cross_events,
-            } => {
-                b.name_track(PID_PARALLEL, 1, "parallel engine", "windows");
-                b.slice(
-                    "window",
-                    *start_ps,
-                    *at_ps,
-                    PID_PARALLEL,
-                    1,
-                    vec![
-                        ("shards".into(), Value::U64(u64::from(*shards))),
-                        ("events".into(), Value::U64(*events)),
-                        ("replay_events".into(), Value::U64(*replay_events)),
-                        ("cross_batches".into(), Value::U64(*cross_batches)),
-                        ("cross_events".into(), Value::U64(*cross_events)),
-                    ],
-                );
-            }
         }
     }
 
@@ -532,18 +505,17 @@ pub fn chrome_trace_from_jsonl(
 
 /// Marks categories that describe *how* a run executed rather than
 /// what the simulated network did: `routes` carries wall-clock build
-/// times (nondeterministic even between two serial runs) and
-/// `parallel` exists only under `EPNET_PAR`. These are exactly the
-/// categories exempt from the serial↔parallel trace byte-identity
-/// contract, so a byte-comparable export filters them first — see
+/// times, nondeterministic even between two runs of one scenario. It
+/// is the only category exempt from the trace byte-identity contract,
+/// so a byte-comparable export filters it first — see
 /// [`behavior_records`].
 pub fn is_execution_shape(cat: TraceCategory) -> bool {
-    matches!(cat, TraceCategory::Routes | TraceCategory::Parallel)
+    matches!(cat, TraceCategory::Routes)
 }
 
 /// Drops execution-shape records ([`is_execution_shape`]), leaving the
-/// simulated-behavior stream that is byte-identical across `EPNET_PAR`
-/// widths.
+/// simulated-behavior stream that is byte-identical across runs and
+/// execution modes.
 pub fn behavior_records(records: &[TraceRecord]) -> Vec<TraceRecord> {
     records
         .iter()
@@ -567,7 +539,6 @@ mod tests {
         t.credit(1_700, 4, "unblock", 2048, 4096);
         t.reactivation(2_000, 2, "end", "20 Gb/s", None);
         t.detour(1_800, 3, 5, 100, 900);
-        t.parallel_window(2_100, 1_900, 4, 128, 132, 3, 9);
         crate::schema::parse_jsonl(&sink.contents()).expect("sample parses")
     }
 
@@ -641,13 +612,6 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(20.0)
         );
-        // Parallel window spans start_ps→at_ps on its own process.
-        let window = named("window");
-        assert_eq!(window.len(), 1);
-        assert_eq!(
-            window[0].get("pid").and_then(Value::as_u64),
-            Some(PID_PARALLEL)
-        );
     }
 
     #[test]
@@ -692,7 +656,7 @@ mod tests {
             .collect();
         assert!(process_names.contains(&"hosts"), "{process_names:?}");
         assert!(process_names.contains(&"switch 3"), "{process_names:?}");
-        assert!(process_names.contains(&"parallel engine"));
+        assert!(process_names.contains(&"engine"), "{process_names:?}");
     }
 
     #[test]
@@ -733,11 +697,10 @@ mod tests {
     fn behavior_filter_drops_exactly_the_shape_categories() {
         let records = sample_records();
         let kept = behavior_records(&records);
-        assert_eq!(kept.len(), records.len() - 2, "routes + parallel dropped");
+        assert_eq!(kept.len(), records.len() - 1, "routes dropped");
         assert!(kept.iter().all(|r| !is_execution_shape(r.category())));
         // Identical behavior streams export to identical bytes even
-        // when the shape records differ — the serial↔parallel export
-        // contract.
+        // when the shape records differ — the export identity contract.
         let a = chrome_trace(&kept, None);
         let b = chrome_trace(&behavior_records(&kept), None);
         assert_eq!(a.json, b.json);

@@ -8,10 +8,11 @@
 //! Metrics come in two visibility classes: regular entries feed the
 //! serialized report surface ([`MetricsRegistry::snapshot`]), while
 //! *diagnostic* entries ([`MetricsRegistry::diagnostic`]) describe how
-//! a run executed rather than what it simulated — e.g. the parallel
-//! engine's window counters, which vary with `EPNET_PAR` width and
-//! would break the byte-identical-report contract if serialized. They
-//! surface separately via [`MetricsRegistry::diagnostics_snapshot`].
+//! a run executed rather than what it simulated — e.g. the hybrid
+//! model's flow counters, which are zero in packet mode and would break
+//! packet-mode byte identity with pre-hybrid reports if serialized.
+//! They surface separately via
+//! [`MetricsRegistry::diagnostics_snapshot`].
 
 use std::collections::BTreeMap;
 
@@ -114,37 +115,6 @@ impl MetricsRegistry {
             .map(|(e, _)| e.clone())
             .collect()
     }
-
-    /// Folds another registry with the *same registration sequence*
-    /// into this one: counters are summed, except the ids listed in
-    /// `max_ids`, which are high-watermark gauges and merge by maximum.
-    ///
-    /// This is the deterministic per-worker metrics merge of the
-    /// parallel simulation engine: every shard registers the identical
-    /// metric set in the identical order, so a positional merge is
-    /// exact. Mismatched registries are a programming error and panic.
-    pub fn merge_from(&mut self, other: &MetricsRegistry, max_ids: &[CounterId]) {
-        assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
-            "merging registries with different metric sets"
-        );
-        debug_assert_eq!(
-            self.diag, other.diag,
-            "merging registries with different diagnostic flags"
-        );
-        for (i, (name, value)) in other.entries.iter().enumerate() {
-            debug_assert_eq!(
-                &self.entries[i].0, name,
-                "metric registration order diverged at index {i}"
-            );
-            if max_ids.iter().any(|id| id.0 as usize == i) {
-                self.observe_max(CounterId(i as u32), *value);
-            } else {
-                self.entries[i].1 += value;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,28 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_maxes_watermarks() {
-        let build = || {
-            let mut reg = MetricsRegistry::new();
-            let c = reg.counter("events");
-            let m = reg.counter("peak");
-            (reg, c, m)
-        };
-        let (mut a, ca, ma) = build();
-        let (mut b, cb, mb) = build();
-        a.add(ca, 10);
-        a.observe_max(ma, 7);
-        b.add(cb, 5);
-        b.observe_max(mb, 3);
-        a.merge_from(&b, &[ma]);
-        assert_eq!(a.get(ca), 15, "counters sum");
-        assert_eq!(a.get(ma), 7, "watermarks take the max");
-        b.observe_max(mb, 99);
-        a.merge_from(&b, &[ma]);
-        assert_eq!(a.get(ma), 99);
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let mut reg = MetricsRegistry::new();
@@ -203,7 +151,7 @@ mod tests {
     fn diagnostics_split_from_the_report_snapshot() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("events");
-        let d = reg.diagnostic("par_windows");
+        let d = reg.diagnostic("flows_absorbed");
         reg.add(c, 3);
         reg.set(d, 42);
         let snap = reg.snapshot();
@@ -211,13 +159,8 @@ mod tests {
         assert_eq!(snap["events"], 3);
         let diag = reg.diagnostics_snapshot();
         assert_eq!(diag.len(), 1);
-        assert_eq!(diag["par_windows"], 42);
-        // Reads and merges treat both classes identically.
+        assert_eq!(diag["flows_absorbed"], 42);
+        // Reads treat both classes identically.
         assert_eq!(reg.get(d), 42);
-        let mut other = MetricsRegistry::new();
-        other.counter("events");
-        other.diagnostic("par_windows");
-        other.merge_from(&reg, &[]);
-        assert_eq!(other.get(d), 42);
     }
 }

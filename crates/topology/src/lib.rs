@@ -47,7 +47,6 @@ mod fbfly;
 mod ids;
 mod route_table;
 mod routes;
-mod shard;
 mod subtopology;
 mod twotier;
 
@@ -60,6 +59,5 @@ pub use fbfly::FlattenedButterfly;
 pub use ids::{ChannelId, HostId, LinkId, PortIndex, SwitchId};
 pub use route_table::RouteTable;
 pub use routes::HopHistogram;
-pub use shard::ShardMap;
 pub use subtopology::{LinkMask, SubtopologyKind};
 pub use twotier::TwoTierClos;

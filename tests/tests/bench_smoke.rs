@@ -129,14 +129,13 @@ fn load_bench_document_is_well_formed_and_activity_bounded() {
     assert_eq!(names.len(), 1);
 }
 
-/// In-process twin of the scalebench v5 hybrid additions: the reduced
-/// sweep must carry the 10^5- and 2^20-host hybrid points, the cheap
+/// In-process twin of the scalebench hybrid points: the reduced sweep
+/// must carry the 10^5- and 2^20-host hybrid points, the cheap
 /// 960-host hybrid point must complete its horizon fluid-only (no
-/// packets, all bytes via flows) and byte-identically under
-/// `EPNET_PAR=2` (the reduced twin of the `hybrid_threads` axis), the
-/// models axis measured on the smallest packet point must sit inside
-/// the documented tolerance, the committed `BENCH_scale.json` must
-/// pass the v5 schema, and a freshly rendered document must too. The
+/// packets, all bytes via flows), the models axis measured on the
+/// smallest packet point must sit inside the documented tolerance, the
+/// committed `BENCH_scale.json` must pass the current schema, and a
+/// freshly rendered document must too. The
 /// big points themselves run in `scripts/bench_smoke.sh` and the
 /// release binary, not here — the million-host point is seconds-long
 /// in release and unaffordable under the test profile.
@@ -162,11 +161,7 @@ fn hybrid_scale_twin_completes_and_models_agree() {
     assert!(run.sim_delivered_bytes > 0, "fluid flows delivered nothing");
     assert!(run.sim_events > 0);
 
-    // The serial-vs-`EPNET_PAR=2` byte identity on this point lives in
-    // `hybrid_par_identity.rs`, its own test process: setting the
-    // variable here would leak into the concurrently running load bench.
-
-    // The committed document must already be schema v5 — million-host
+    // The committed document must already be the current schema — million-host
     // point present, per-host heap and wall budgets inside bounds.
     let committed = std::fs::read_to_string(scalebench::output_path())
         .expect("BENCH_scale.json present at the repository root");
@@ -183,48 +178,10 @@ fn hybrid_scale_twin_completes_and_models_agree() {
     let models = scalebench::measure_models(&small);
     assert_eq!(models.runs.len(), 1);
 
-    // Render a full v5 document around the measured pieces (synthetic
-    // threads/lookahead axes and million-host bench — the real ones
-    // are measured by the release binary and validated above via the
-    // committed document) and hold it to the schema.
-    let threads = scalebench::ThreadsAxis {
-        point: small[0].name.clone(),
-        hw_threads: 1,
-        runs: vec![
-            scalebench::ThreadsRun {
-                threads: 0,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-            scalebench::ThreadsRun {
-                threads: 2,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-        ],
-    };
-    let hybrid_threads = scalebench::ThreadsAxis {
-        point: million.name.clone(),
-        hw_threads: 1,
-        runs: vec![
-            scalebench::ThreadsRun {
-                threads: 0,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-            scalebench::ThreadsRun {
-                threads: 2,
-                wall_ms: 1.0,
-                sim_events: run.sim_events,
-            },
-        ],
-    };
-    let lookahead = scalebench::LookaheadAxis {
-        point: small[0].name.clone(),
-        width: 4,
-        pairwise: synthetic_lookahead_run("pairwise"),
-        global: synthetic_lookahead_run("global"),
-    };
+    // Render a full document around the measured pieces (a synthetic
+    // million-host bench — the real one is measured by the release
+    // binary and validated above via the committed document) and hold
+    // it to the schema.
     let million_run = scalebench::ScaleRun {
         name: million.name.clone(),
         model: SimModel::Hybrid,
@@ -238,28 +195,9 @@ fn hybrid_scale_twin_completes_and_models_agree() {
         measured_allocs: 0,
         peak_alloc_bytes: 0,
     };
-    let doc = scalebench::render(
-        &[run, million_run],
-        &threads,
-        &hybrid_threads,
-        &lookahead,
-        &models,
-    );
-    let names = scalebench::validate(&doc).expect("v5 document validates");
+    let doc = scalebench::render(&[run, million_run], 1, &models);
+    let names = scalebench::validate(&doc).expect("rendered document validates");
     assert_eq!(names, vec!["hybrid_fbfly_15x8x3", "hybrid_fbfly_32x32x4"]);
-}
-
-fn synthetic_lookahead_run(mode: &'static str) -> scalebench::LookaheadRun {
-    scalebench::LookaheadRun {
-        mode,
-        windows: 10,
-        window_events: 100,
-        replay_events: 110,
-        cross_batches: 4,
-        cross_events: 8,
-        lookahead_ps: 125_000,
-        wall_ms: 1.0,
-    }
 }
 
 /// The canonical scenario, traced: every emitted JSONL line must pass

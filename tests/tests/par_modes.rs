@@ -1,120 +1,49 @@
-//! `EPNET_PAR` cross-check: the sharded parallel engine is an
-//! execution detail, never a behavior. Every configuration must
-//! serialize a byte-identical `SimReport` whether the run executes on
-//! the serial event loop (`EPNET_PAR` unset / `off`) or on 1, 2, 4, or
-//! 8 coordinator-ordered worker shards — and that identity must hold
-//! composed with every other mode switch (`EPNET_SCHED=heap`,
-//! `EPNET_ROUTES=dynamic`, `EPNET_EPOCH=sweep`), since the parallel
-//! coordinator replays those same code paths per shard.
-//!
-//! The workload is bursty at low offered load with the dynamic-topology
-//! extension on: epoch rate transitions, power-off, and reactivation
-//! all cross the coordinator's window barriers, which is exactly where
-//! a lookahead or replay-ordering bug would diverge the reports.
-//!
-//! The simulation model is its own axis (`EPNET_MODEL=hybrid` composed
-//! with every mode and width): the coordinator makes all flow regime
-//! decisions at phase barriers over gathered shard state, so the
-//! hybrid engine owes the same byte-identity the packet engine does.
+//! Execution-width cross-check for the simulation-model axis: how many
+//! runs execute side by side on the `epnet::exp` worker pool
+//! (`EPNET_THREADS`) is an execution detail, never a behavior. Every
+//! run must serialize a byte-identical `SimReport` whether it executes
+//! alone on the calling thread or concurrently with other runs on a
+//! pool of 1, 2, 4, or 8 workers — composed with every simulation
+//! model (`EPNET_MODEL`) and reference-mode switch (`EPNET_SCHED=heap`,
+//! `EPNET_ROUTES=dynamic`, `EPNET_EPOCH=sweep`). A run that leaked
+//! state through a global, a thread-local, or a shared cache would
+//! diverge here.
 
+use epnet::exp::run_parallel;
 use epnet::prelude::*;
-use epnet::sim::{MemorySink, TraceCategory, Tracer};
-use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
-use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes the env-twiddling tests in this binary — `EPNET_PAR` and
-/// the mode switches are process-global.
+/// Serializes the env-twiddling tests in this binary — the mode
+/// switches and `EPNET_THREADS` are process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Worker widths the matrix proves byte-identical to serial.
+/// Worker-pool widths the matrix proves byte-identical to a lone run.
 const WIDTHS: [&str; 4] = ["1", "2", "4", "8"];
 
-/// Reference-mode switches composed with the parallel axis. Each entry
-/// is (label, env var, reference value); `None` runs the defaults.
-/// `EPNET_PAR_LOOKAHEAD=global` selects the legacy fabric-wide window
-/// bound instead of the pairwise matrix — different window shapes,
-/// same bytes.
-const MODES: [Option<(&str, &str)>; 5] = [
+/// Runs per pool batch: enough that every width above keeps all of its
+/// workers busy at once.
+const BATCH: usize = 8;
+
+/// Reference-mode switches composed with the width axis. Each entry is
+/// (env var, reference value); `None` runs the defaults.
+const MODES: [Option<(&str, &str)>; 4] = [
     None,
     Some(("EPNET_SCHED", "heap")),
     Some(("EPNET_ROUTES", "dynamic")),
     Some(("EPNET_EPOCH", "sweep")),
-    Some(("EPNET_PAR_LOOKAHEAD", "global")),
 ];
 
-/// One run on an FBFLY(c, k, n) with the dynamic-topology extension
-/// on, serialized. Mirrors `epoch_modes.rs` so the two determinism
-/// suites exercise the same reference workload.
-fn run_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> String {
-    let fabric = FlattenedButterfly::new(c, k, n)
-        .expect("valid shape")
-        .build_fabric();
-    let config = SimConfig::builder().build();
-    let horizon = SimTime::from_ms(1);
-    let src = UniformRandom::builder(fabric.num_hosts() as u32)
-        .offered_load(load)
-        .seed(seed)
-        .horizon(horizon)
-        .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
-    sim.enable_dynamic_topology(DynamicTopology::new(
-        &fabric,
-        DynamicTopologyConfig::default(),
-    ));
-    let report = sim.run_until(horizon);
-    serde_json::to_string_pretty(&report).expect("report serializes")
-}
-
-/// Runs `f` serially, then once per worker width, asserting byte
-/// identity against the serial report each time.
-fn assert_widths_agree(label: &str, f: impl Fn() -> String) {
-    std::env::remove_var("EPNET_PAR");
-    let serial = f();
-    for width in WIDTHS {
-        std::env::set_var("EPNET_PAR", width);
-        let parallel = f();
-        std::env::remove_var("EPNET_PAR");
-        assert_eq!(
-            serial, parallel,
-            "serialized report differs between serial and EPNET_PAR={width} for {label}"
-        );
-    }
-}
-
-/// The headline matrix: widths {1, 2, 4, 8} × reference modes
-/// {defaults, sched, routes, epoch, global lookahead} on the canonical
-/// FBFLY(2, 8, 2) bursty run with dynamic topology.
-#[test]
-fn parallel_reports_are_byte_identical_across_widths_and_modes() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    for mode in MODES {
-        let label = match mode {
-            Some((var, val)) => {
-                std::env::set_var(var, val);
-                format!("{var}={val}")
-            }
-            None => "defaults".to_string(),
-        };
-        assert_widths_agree(&label, || run_case(2, 8, 2, 0.08, 11));
-        if let Some((var, _)) = mode {
-            std::env::remove_var(var);
-        }
-    }
-}
-
-/// Simulation models composed with the parallel axis. `hybrid` makes
-/// the coordinator absorb large messages into fluid flows at workload
-/// phases and advance/demote them at epoch barriers — the regime
-/// decisions all read gathered shard state, so the reports must stay
-/// byte-identical to the serial hybrid engine.
+/// Simulation models composed with the width axis. `hybrid` absorbs
+/// large messages into fluid flows and advances/demotes them at epoch
+/// ticks, so its regime decisions must be as run-local as the packet
+/// engine's state.
 const MODELS: [&str; 2] = ["packet", "hybrid"];
 
-/// Flow-heavy variant of the canonical run: 256 KiB messages (4× the
-/// hybrid absorption threshold) on the same FBFLY dynamic topology, so
-/// `EPNET_MODEL=hybrid` absorbs flows at coordinator workload phases,
-/// advances them at epoch ticks, and demotes them back into the packet
-/// path when dynamic-topology drains puncture their steadiness gate.
+/// Flow-heavy run: 256 KiB messages (4× the hybrid absorption
+/// threshold) on an FBFLY with the dynamic-topology extension on, so
+/// `EPNET_MODEL=hybrid` absorbs flows, advances them at epoch ticks,
+/// and demotes them back into the packet path when dynamic-topology
+/// drains puncture their steadiness gate.
 fn run_flow_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> (String, SimReport) {
     let fabric = FlattenedButterfly::new(c, k, n)
         .expect("valid shape")
@@ -137,10 +66,11 @@ fn run_flow_case(c: u16, k: u16, n: usize, load: f64, seed: u64) -> (String, Sim
     (json, report)
 }
 
-/// The model axis: {packet, hybrid} × widths {1, 2, 4, 8} × reference
-/// modes on the flow-heavy FBFLY(2, 8, 2) run. The hybrid serial
-/// reference must actually exercise the fluid regime (absorptions and
-/// demotions both nonzero) or the axis would vacuously pass.
+/// The model axis: {packet, hybrid} × pool widths {1, 2, 4, 8} ×
+/// reference modes on the flow-heavy FBFLY(2, 8, 2) run. The hybrid
+/// lone-run reference must actually exercise the fluid regime
+/// (absorptions and demotions both nonzero) or the axis would
+/// vacuously pass.
 #[test]
 fn model_axis_reports_are_byte_identical_across_widths_and_modes() {
     let _guard = ENV_LOCK.lock().unwrap();
@@ -154,38 +84,39 @@ fn model_axis_reports_are_byte_identical_across_widths_and_modes() {
                 }
                 None => format!("EPNET_MODEL={model}"),
             };
-            std::env::remove_var("EPNET_PAR");
-            let (serial, serial_report) = run_flow_case(2, 8, 2, 0.3, 17);
+            let (lone, lone_report) = run_flow_case(2, 8, 2, 0.3, 17);
             if model == "hybrid" {
-                let absorbed = serial_report.diagnostics.get("flows_absorbed");
-                assert!(
-                    absorbed.is_some_and(|&a| a > 0),
-                    "flow-heavy hybrid reference absorbed no flows for {label}"
-                );
-                let demoted = serial_report.diagnostics.get("flows_demoted");
-                assert!(
-                    demoted.is_some_and(|&d| d > 0),
-                    "flow-heavy hybrid reference demoted no flows for {label}"
-                );
+                for key in ["flows_absorbed", "flows_demoted"] {
+                    assert!(
+                        lone_report.diagnostics.get(key).is_some_and(|&n| n > 0),
+                        "flow-heavy hybrid reference has no {key} for {label}"
+                    );
+                }
             }
             for width in WIDTHS {
-                std::env::set_var("EPNET_PAR", width);
-                let (parallel, parallel_report) = run_flow_case(2, 8, 2, 0.3, 17);
-                std::env::remove_var("EPNET_PAR");
-                assert_eq!(
-                    serial, parallel,
-                    "serialized report differs between serial and EPNET_PAR={width} for {label}"
-                );
-                assert_eq!(
-                    serial_report.diagnostics.get("flows_absorbed"),
-                    parallel_report.diagnostics.get("flows_absorbed"),
-                    "flow absorption diverged at EPNET_PAR={width} for {label}"
-                );
-                assert_eq!(
-                    serial_report.diagnostics.get("flows_demoted"),
-                    parallel_report.diagnostics.get("flows_demoted"),
-                    "flow demotion diverged at EPNET_PAR={width} for {label}"
-                );
+                std::env::set_var("EPNET_THREADS", width);
+                let jobs: Vec<Box<dyn FnOnce() -> (String, SimReport) + Send>> = (0..BATCH)
+                    .map(|_| {
+                        Box::new(|| run_flow_case(2, 8, 2, 0.3, 17))
+                            as Box<dyn FnOnce() -> (String, SimReport) + Send>
+                    })
+                    .collect();
+                let pooled = run_parallel(jobs);
+                std::env::remove_var("EPNET_THREADS");
+                for (i, (json, report)) in pooled.iter().enumerate() {
+                    assert_eq!(
+                        &lone, json,
+                        "serialized report of job {i} differs between a lone run and \
+                         EPNET_THREADS={width} for {label}"
+                    );
+                    for key in ["flows_absorbed", "flows_demoted"] {
+                        assert_eq!(
+                            lone_report.diagnostics.get(key),
+                            report.diagnostics.get(key),
+                            "{key} diverged in job {i} at EPNET_THREADS={width} for {label}"
+                        );
+                    }
+                }
             }
             if let Some((var, _)) = mode {
                 std::env::remove_var(var);
@@ -193,277 +124,4 @@ fn model_axis_reports_are_byte_identical_across_widths_and_modes() {
         }
     }
     std::env::remove_var("EPNET_MODEL");
-}
-
-/// The canonical bursty run with a tracer installed under `mask`;
-/// returns the serialized report, the trace text, and the in-memory
-/// report (for its `diagnostics`).
-fn run_traced(mask: u32) -> (String, String, SimReport) {
-    let fabric = FlattenedButterfly::new(2, 8, 2)
-        .expect("valid shape")
-        .build_fabric();
-    let horizon = SimTime::from_ms(1);
-    let src = UniformRandom::builder(fabric.num_hosts() as u32)
-        .offered_load(0.08)
-        .seed(11)
-        .horizon(horizon)
-        .build();
-    let mut sim = Simulator::new(fabric.clone(), SimConfig::builder().build(), src);
-    sim.enable_dynamic_topology(DynamicTopology::new(
-        &fabric,
-        DynamicTopologyConfig::default(),
-    ));
-    let sink = MemorySink::new();
-    sim.set_tracer(Tracer::new(sink.clone(), mask));
-    let report = sim.run_until(horizon);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    (json, sink.contents(), report)
-}
-
-/// Strips the execution-shape categories (`routes`: wall-clock build
-/// times; `parallel`: exists only under `EPNET_PAR`) — the lines the
-/// serial↔parallel byte-identity contract covers.
-fn behavior_lines(trace: &str) -> Vec<&str> {
-    trace
-        .lines()
-        .filter(|l| !l.contains("\"cat\":\"routes\"") && !l.contains("\"cat\":\"parallel\""))
-        .collect()
-}
-
-/// Traced parallel runs: the behavior categories stay line-identical
-/// to serial, `parallel` window records appear iff the category is
-/// masked in, the merged trace stays schema-valid and time-monotone,
-/// and the per-window counters sum to the engine's own diagnostics.
-#[test]
-fn traced_parallel_runs_gate_window_records_behind_the_mask() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("EPNET_PAR");
-    let (serial_json, serial_trace, _) = run_traced(TraceCategory::ALL_MASK);
-    assert!(
-        !serial_trace.contains("\"cat\":\"parallel\""),
-        "the serial engine must not emit parallel records"
-    );
-
-    std::env::set_var("EPNET_PAR", "4");
-    let (par_json, par_trace, par_report) = run_traced(TraceCategory::ALL_MASK);
-    let masked = TraceCategory::ALL_MASK & !TraceCategory::Parallel.bit();
-    let (par_masked_json, par_masked_trace, _) = run_traced(masked);
-    std::env::remove_var("EPNET_PAR");
-
-    // The report contract is untouched by the new category, masked in
-    // or out.
-    assert_eq!(serial_json, par_json);
-    assert_eq!(serial_json, par_masked_json);
-
-    // Behavior categories are line-identical across all three runs;
-    // the masked run writes no parallel lines at all.
-    assert_eq!(behavior_lines(&serial_trace), behavior_lines(&par_trace));
-    assert_eq!(
-        behavior_lines(&serial_trace),
-        behavior_lines(&par_masked_trace)
-    );
-    assert!(
-        !par_masked_trace.contains("\"cat\":\"parallel\""),
-        "masked-out category must not be written"
-    );
-
-    // The full parallel trace is schema-valid, time-monotone, and its
-    // window records agree with the engine's diagnostics counters.
-    let stats = validate_jsonl(&par_trace).expect("merged parallel trace is schema-valid");
-    let windows = stats.count(TraceCategory::Parallel) as u64;
-    assert!(windows > 0, "a width-4 traced run must record windows");
-    assert_eq!(par_report.diagnostics.get("par_windows"), Some(&windows));
-    let records = parse_jsonl(&par_trace).expect("parses");
-    let (mut events, mut replays, mut batches, mut crossings) = (0u64, 0u64, 0u64, 0u64);
-    let mut last = 0u64;
-    for r in &records {
-        assert!(r.at_ps() >= last, "merged trace went backwards in time");
-        last = r.at_ps();
-        if let TraceRecord::Parallel {
-            at_ps,
-            start_ps,
-            shards,
-            events: ev,
-            replay_events,
-            cross_batches,
-            cross_events,
-        } = r
-        {
-            assert!(start_ps <= at_ps, "window closes after it opens");
-            assert!((1..=4).contains(shards), "touched shards within width");
-            events += ev;
-            replays += replay_events;
-            batches += cross_batches;
-            crossings += cross_events;
-        }
-    }
-    assert_eq!(
-        par_report.diagnostics.get("par_window_events"),
-        Some(&events)
-    );
-    assert_eq!(
-        par_report.diagnostics.get("par_replay_events"),
-        Some(&replays)
-    );
-    assert_eq!(
-        par_report.diagnostics.get("par_cross_batches"),
-        Some(&batches)
-    );
-    assert_eq!(
-        par_report.diagnostics.get("par_cross_events"),
-        Some(&crossings)
-    );
-}
-
-/// `EPNET_PAR=off` must behave exactly like unset.
-#[test]
-fn par_off_is_the_serial_engine() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("EPNET_PAR");
-    let serial = run_case(2, 4, 2, 0.1, 7);
-    std::env::set_var("EPNET_PAR", "off");
-    let off = run_case(2, 4, 2, 0.1, 7);
-    std::env::remove_var("EPNET_PAR");
-    assert_eq!(serial, off, "EPNET_PAR=off diverged from unset");
-}
-
-/// A run with an explicit `SimConfig`, returning the serialized report
-/// plus the in-memory report — whose non-serialized `diagnostics` map
-/// records which engine actually executed the run.
-fn run_fallback_case(config: SimConfig, seed: u64) -> (String, SimReport) {
-    let fabric = FlattenedButterfly::new(2, 4, 2)
-        .expect("valid shape")
-        .build_fabric();
-    let horizon = SimTime::from_us(300);
-    let src = UniformRandom::builder(fabric.num_hosts() as u32)
-        .offered_load(0.1)
-        .seed(seed)
-        .horizon(horizon)
-        .build();
-    let mut sim = Simulator::new(fabric.clone(), config, src);
-    sim.enable_dynamic_topology(DynamicTopology::new(
-        &fabric,
-        DynamicTopologyConfig::default(),
-    ));
-    let report = sim.run_until(horizon);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    (json, report)
-}
-
-/// Asserts that `config` makes the parallel engine fall back to the
-/// serial loop: report bytes equal at every width, and the run is
-/// flagged `par_fallback_serial = 1` in the diagnostics.
-fn assert_falls_back(label: &str, config: &SimConfig) {
-    std::env::remove_var("EPNET_PAR");
-    let (serial, serial_report) = run_fallback_case(config.clone(), 13);
-    assert_eq!(
-        serial_report.diagnostics.get("par_fallback_serial"),
-        Some(&0),
-        "serial run must not set the fallback flag for {label}"
-    );
-    for width in WIDTHS {
-        std::env::set_var("EPNET_PAR", width);
-        let (parallel, parallel_report) = run_fallback_case(config.clone(), 13);
-        std::env::remove_var("EPNET_PAR");
-        assert_eq!(
-            serial, parallel,
-            "fallback report differs from serial at EPNET_PAR={width} for {label}"
-        );
-        assert_eq!(
-            parallel_report.diagnostics.get("par_fallback_serial"),
-            Some(&1),
-            "EPNET_PAR={width} must report the serial fallback for {label}"
-        );
-        assert_eq!(
-            parallel_report.diagnostics.get("par_windows"),
-            Some(&0),
-            "the fallback must not open coordinator windows for {label}"
-        );
-    }
-}
-
-/// Zero propagation delay collapses every lookahead bound to nothing:
-/// no conservative window can make progress, so the engine must run
-/// the serial loop and say so.
-#[test]
-fn zero_lookahead_falls_back_to_serial() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::builder()
-        .propagation(SimTime::ZERO, SimTime::ZERO)
-        .build();
-    assert_falls_back("zero propagation", &config);
-}
-
-/// A zero reactivation floor means a power-gated switch can wake
-/// instantaneously, which punctures the window bound the same way —
-/// serial fallback, byte-identical report. The epoch is pinned
-/// explicitly because `reactivation(t)` derives the default epoch from
-/// `t`.
-#[test]
-fn zero_reactivation_floor_falls_back_to_serial() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::builder()
-        .reactivation(SimTime::ZERO)
-        .epoch(SimTime::from_us(10))
-        .build();
-    assert_falls_back("zero reactivation floor", &config);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Random small topologies, seeds, loads, and a random width —
-    /// shapes where shards end up uneven (k not divisible by the
-    /// width) are the interesting ones.
-    #[test]
-    fn parallel_agrees_on_random_topologies(
-        seed in any::<u64>(),
-        load in 0.02f64..0.5,
-        c in 1u16..=3,
-        k in 2u16..=6,
-        n in 2usize..=3,
-        width_pick in 0usize..4,
-    ) {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("EPNET_PAR");
-        let serial = run_case(c, k, n, load, seed);
-        let width = WIDTHS[width_pick];
-        std::env::set_var("EPNET_PAR", width);
-        let parallel = run_case(c, k, n, load, seed);
-        std::env::remove_var("EPNET_PAR");
-        prop_assert_eq!(
-            serial, parallel,
-            "reports diverged for fbfly({},{},{}) load={} seed={} width={}",
-            c, k, n, load, seed, width
-        );
-    }
-
-    /// The same random sweep under the hybrid model with flow-heavy
-    /// loads: 256 KiB messages put nearly every injection through the
-    /// absorb gate, and dynamic-topology churn forces demotions through
-    /// the coordinator's mirrored-slot reconciliation.
-    #[test]
-    fn hybrid_parallel_agrees_on_flow_heavy_loads(
-        seed in any::<u64>(),
-        load in 0.05f64..0.4,
-        c in 1u16..=3,
-        k in 2u16..=6,
-        n in 2usize..=3,
-        width_pick in 0usize..4,
-    ) {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("EPNET_MODEL", "hybrid");
-        std::env::remove_var("EPNET_PAR");
-        let (serial, _) = run_flow_case(c, k, n, load, seed);
-        let width = WIDTHS[width_pick];
-        std::env::set_var("EPNET_PAR", width);
-        let (parallel, _) = run_flow_case(c, k, n, load, seed);
-        std::env::remove_var("EPNET_PAR");
-        std::env::remove_var("EPNET_MODEL");
-        prop_assert_eq!(
-            serial, parallel,
-            "hybrid reports diverged for fbfly({},{},{}) load={} seed={} width={}",
-            c, k, n, load, seed, width
-        );
-    }
 }

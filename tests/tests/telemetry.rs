@@ -3,13 +3,14 @@
 //!
 //! The load-bearing guarantee is byte-identical serialized reports —
 //! metrics map included — across every combination of scheduler
-//! backend (`EPNET_SCHED`), route mode (`EPNET_ROUTES`), and tracing
-//! on/off. Wall-clock phase timings are exempt by construction: the
+//! backend (`EPNET_SCHED`), route mode (`EPNET_ROUTES`), epoch mode
+//! (`EPNET_EPOCH`), and tracing on/off, under both the packet and the
+//! hybrid model. Wall-clock phase timings are exempt by construction: the
 //! report serializer excludes them.
 
 use epnet::exp::{EvalScale, WorkloadKind};
 use epnet::prelude::*;
-use epnet::sim::{MemorySink, TraceCategory, Tracer};
+use epnet::sim::{MemorySink, SimModel, TraceCategory, Tracer};
 use epnet_telemetry::{parse_jsonl, validate_jsonl, TraceRecord};
 use std::sync::Mutex;
 
@@ -44,10 +45,47 @@ fn run_traced(traced: bool) -> (String, String) {
     )
 }
 
+/// Par_modes' flow-heavy hybrid case: 256 KiB messages (4× the
+/// absorption threshold) on an FBFLY(2, 8, 2) with dynamic topology at
+/// load 0.3, seed 17. Nearly every injection goes through the absorb
+/// gate, and dynamic-topology drains demote flows back to packets.
+/// Built with [`Simulator::with_model`], so it mutates no environment.
+/// Returns the serialized report, the report, and the trace text.
+fn run_flow_heavy_hybrid(traced: bool) -> (String, SimReport, String) {
+    let fabric = FlattenedButterfly::new(2, 8, 2)
+        .expect("valid shape")
+        .build_fabric();
+    let horizon = SimTime::from_ms(1);
+    let src = UniformRandom::builder(fabric.num_hosts() as u32)
+        .offered_load(0.3)
+        .message_bytes(256 * 1024)
+        .seed(17)
+        .horizon(horizon)
+        .build();
+    let mut sim = Simulator::with_model(
+        fabric.clone(),
+        SimConfig::builder().build(),
+        src,
+        SimModel::Hybrid,
+    );
+    sim.enable_dynamic_topology(DynamicTopology::new(
+        &fabric,
+        DynamicTopologyConfig::default(),
+    ));
+    let sink = MemorySink::new();
+    if traced {
+        sim.set_tracer(Tracer::new(sink.clone(), TraceCategory::ALL_MASK));
+    }
+    let report = sim.run_until(horizon);
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    (json, report, sink.contents())
+}
+
 #[test]
 fn reports_are_byte_identical_across_modes_and_tracing() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let mut reports = Vec::new();
+    let mut packet = Vec::new();
+    let mut hybrid = Vec::new();
     for sched in ["calendar", "heap"] {
         std::env::set_var("EPNET_SCHED", sched);
         for routes in ["table", "dynamic"] {
@@ -55,9 +93,21 @@ fn reports_are_byte_identical_across_modes_and_tracing() {
             for epoch in ["active", "sweep"] {
                 std::env::set_var("EPNET_EPOCH", epoch);
                 for traced in [false, true] {
+                    let label = format!("{sched}/{routes}/{epoch}/traced={traced}");
                     let (report, trace) = run_traced(traced);
                     assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
-                    reports.push((format!("{sched}/{routes}/{epoch}/traced={traced}"), report));
+                    packet.push((label.clone(), report));
+                    let (json, report, trace) = run_flow_heavy_hybrid(traced);
+                    assert_eq!(traced, !trace.is_empty(), "tracer emits iff installed");
+                    // Non-vacuity: the hybrid input must exercise both
+                    // regime boundaries in every mode.
+                    for key in ["flows_absorbed", "flows_demoted"] {
+                        assert!(
+                            report.diagnostics.get(key).is_some_and(|&n| n > 0),
+                            "flow-heavy hybrid run has no {key} under {label}"
+                        );
+                    }
+                    hybrid.push((label, json));
                 }
             }
         }
@@ -65,12 +115,14 @@ fn reports_are_byte_identical_across_modes_and_tracing() {
     std::env::remove_var("EPNET_SCHED");
     std::env::remove_var("EPNET_ROUTES");
     std::env::remove_var("EPNET_EPOCH");
-    let (base_label, base) = &reports[0];
-    for (label, report) in &reports[1..] {
-        assert_eq!(
-            base, report,
-            "serialized report differs between {base_label} and {label}"
-        );
+    for (input, reports) in [("packet", &packet), ("hybrid", &hybrid)] {
+        let (base_label, base) = &reports[0];
+        for (label, report) in &reports[1..] {
+            assert_eq!(
+                base, report,
+                "{input} serialized report differs between {base_label} and {label}"
+            );
+        }
     }
 }
 
