@@ -3,14 +3,15 @@
 //! The engine touches a handful of channel fields on every event —
 //! queue occupancy, flow-control credits, the configured rate, the
 //! next-free time, and a few boolean latches. Keeping those in dense
-//! parallel `Vec`s indexed by [`ChannelId::index`] packs the working
-//! set of a paper-scale fabric into a few cache lines per event,
-//! instead of striding across ~200-byte `Channel` structs for every
-//! occupancy probe the adaptive router makes. Config and telemetry
-//! fields that only the per-epoch controller or the end-of-run
-//! reporter read (residency accounting, drain-first state, tunability)
-//! live in a cold side table so they never share a line with the hot
-//! arrays.
+//! parallel `Vec`s indexed by
+//! [`ChannelId::index`](epnet_topology::ChannelId::index) packs the
+//! working set of a paper-scale fabric into a few cache lines per
+//! event, instead of striding across ~200-byte `Channel` structs for
+//! every occupancy probe the adaptive router makes. Config and
+//! telemetry fields that only the per-epoch controller or the
+//! end-of-run reporter read (residency accounting, drain-first state,
+//! tunability) live in a cold side table so they never share a line
+//! with the hot arrays.
 //!
 //! Credit-return bookkeeping uses per-channel queues backed by a
 //! shared free-list pool: a queue that drains to empty donates its
@@ -22,8 +23,8 @@
 //!
 //! # The active set
 //!
-//! Epoch ticks are O(touched), not O(topology): a dense dirty list
-//! plus a membership bitmap track every channel that might need the
+//! Epoch ticks are O(touched), not O(topology): a membership bitmap
+//! (one bit per channel) tracks every channel that might need the
 //! controller's attention — it transmitted, queued, blocked, drained,
 //! powered on/off, or sits above the floor rate. A channel outside the
 //! set is *resting*: idle at the floor with an empty queue, which
@@ -31,12 +32,21 @@
 //! `idle_at_floor_always_holds` invariant in `controller.rs`), so the
 //! per-epoch sweep skips it entirely — decision, queue-depth sample,
 //! and overhang pre-charge alike. Channels enter the set at the
-//! mutation sites (`enqueue`, rate writes, power transitions) and
-//! retire only at epoch ticks once resting again. The same mutation
-//! sites maintain an incremental count of rate/power-asymmetric links
-//! via the [`Channels::peer`] table, replacing the per-epoch O(links)
-//! asymmetry sweep with a counter read. `EPNET_EPOCH=sweep` keeps the
-//! full-sweep reference alive (see `engine.rs`).
+//! mutation sites (`enqueue`, rate writes, power transitions) with a
+//! single OR and retire only at epoch ticks once resting again.
+//!
+//! The bitmap is the whole set. A tick walks it word by word
+//! ([`for_each_set_bit`]: `trailing_zeros`, then clear the lowest bit),
+//! which visits members in ascending channel order with no sort — the
+//! order the full sweep uses, so decision order and hence event
+//! insertion order match the reference by construction. A tick costs
+//! O(active + channels/64).
+//!
+//! The same mutation sites maintain an incremental count of
+//! rate/power-asymmetric links via the [`Channels::peer`] table,
+//! replacing the per-epoch O(links) asymmetry sweep with a counter
+//! read. `EPNET_EPOCH=sweep` keeps the full-sweep reference alive (see
+//! `engine.rs`).
 
 use crate::packet::PacketId;
 use crate::SimTime;
@@ -78,7 +88,7 @@ pub(crate) struct ChannelCold {
 
 /// All per-channel runtime state, split hot (per-event) from cold
 /// (per-epoch / per-run). Every `Vec` is indexed by
-/// [`ChannelId::index`].
+/// [`ChannelId::index`](epnet_topology::ChannelId::index).
 #[derive(Debug)]
 pub(crate) struct Channels {
     // ---- hot: touched on the per-event fast path ----
@@ -111,9 +121,8 @@ pub(crate) struct Channels {
     /// Drained credit-queue buffers awaiting reuse (capacity retained).
     credit_pool: Vec<VecDeque<(SimTime, u32)>>,
     // ---- active set (per-epoch, see module docs) ----
-    /// Dense list of channels the epoch controller must visit.
-    active: Vec<u32>,
-    /// Membership bitmap over `active` (one bit per channel).
+    /// Channels the epoch controller must visit: bit `i % 64` of word
+    /// `i / 64` is channel `i`. Bits past the last channel stay clear.
     active_bits: Vec<u64>,
     /// Opposing channel of the same link (self until the engine wires
     /// the fabric's link table; a self-peer is never asymmetric).
@@ -142,7 +151,6 @@ impl Channels {
             queues: Vec::with_capacity(n),
             pending_credits: Vec::with_capacity(n),
             credit_pool: Vec::new(),
-            active: Vec::with_capacity(n),
             active_bits: Vec::with_capacity(n.div_ceil(64)),
             peer: Vec::with_capacity(n),
             asym_links: 0,
@@ -171,7 +179,6 @@ impl Channels {
             self.active_bits.push(0);
         }
         self.active_bits[i / 64] |= 1u64 << (i % 64);
-        self.active.push(i as u32);
         self.peer.push(i as u32);
         self.cold.push(ChannelCold {
             time_at_rate_ps: [0; LinkRate::COUNT],
@@ -198,11 +205,7 @@ impl Channels {
     /// Inserts channel `i` into the active set (idempotent).
     #[inline]
     pub fn mark_active(&mut self, i: usize) {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if self.active_bits[word] & bit == 0 {
-            self.active_bits[word] |= bit;
-            self.active.push(i as u32);
-        }
+        self.active_bits[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Whether channel `i` is in the active set.
@@ -211,26 +214,11 @@ impl Channels {
         self.active_bits[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Sorts the active list ascending. Controller decisions must run
-    /// in channel-index order — decision order fixes event insertion
-    /// order, and FIFO tie-breaking makes that order part of the
-    /// byte-identical output contract.
-    pub fn sort_active(&mut self) {
-        self.active.sort_unstable();
-    }
-
-    /// Number of channels currently in the active set.
+    /// The active-set bitmap, one word per 64 channels — walk it with
+    /// [`for_each_set_bit`] to visit members in ascending order.
     #[inline]
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
-    /// The `k`-th entry of the active list (index-based access so the
-    /// engine can mutate channel state mid-iteration; entries appended
-    /// during a pass land past the caller's snapshot length).
-    #[inline]
-    pub fn active_at(&self, k: usize) -> u32 {
-        self.active[k]
+    pub fn active_words(&self) -> &[u64] {
+        &self.active_bits
     }
 
     /// Links whose two channels currently differ in rate or powered
@@ -303,9 +291,28 @@ impl Channels {
         resting
     }
 
+    /// Walks the active set in ascending channel order, calling `keep`
+    /// on each member and retiring it (clearing its bit in place) when
+    /// `keep` returns `false`.
+    #[inline]
+    fn retain_active(&mut self, mut keep: impl FnMut(&mut Self, usize) -> bool) {
+        for w in 0..self.active_bits.len() {
+            let mut bits = self.active_bits[w];
+            let mut retired = 0u64;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep(self, w * 64 + b as usize) {
+                    retired |= 1u64 << b;
+                }
+            }
+            self.active_bits[w] &= !retired;
+        }
+    }
+
     /// The active-mode epoch pass over the set: samples queue depth,
     /// pre-charges the next epoch with each in-flight transmission's
-    /// overhang, and compacts resting channels out of the set. Returns
+    /// overhang, and retires resting channels from the set. Returns
     /// `(queued_bytes_sum, queued_bytes_peak)` — identical to the full
     /// sweep's values because every skipped channel contributes zero
     /// occupancy and zero overhang by the resting definition.
@@ -318,43 +325,25 @@ impl Channels {
     ) -> (u64, u64) {
         let mut queued_sum = 0u64;
         let mut queued_peak = 0u64;
-        let mut keep = 0usize;
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            let occ = self.occupancy[i];
+        self.retain_active(|c, i| {
+            let occ = c.occupancy[i];
             queued_sum += occ;
             queued_peak = queued_peak.max(occ);
-            let overhang = self.busy_until[i].saturating_sub(now);
-            self.busy_ps_epoch[i] = overhang.as_ps().min(epoch_ps);
-            if self.is_resting(i, min_rate, decisions_enabled) {
-                self.active_bits[i / 64] &= !(1u64 << (i % 64));
-            } else {
-                self.active[keep] = i as u32;
-                keep += 1;
-            }
-        }
-        self.active.truncate(keep);
+            let overhang = c.busy_until[i].saturating_sub(now);
+            c.busy_ps_epoch[i] = overhang.as_ps().min(epoch_ps);
+            !c.is_resting(i, min_rate, decisions_enabled)
+        });
         (queued_sum, queued_peak)
     }
 
     /// Sweep-mode twin of [`Channels::sample_active_and_retire`]:
-    /// compacts resting channels out of the set without sampling (the
+    /// retires resting channels from the set without sampling (the
     /// engine's reference full sweep already recharged every channel).
     /// Keeping the set maintained in sweep mode makes the two modes'
     /// retained state identical, so the cross-check debug assertions
     /// hold in either.
     pub fn retire_resting(&mut self, min_rate: LinkRate, decisions_enabled: bool) {
-        let mut keep = 0usize;
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            if self.is_resting(i, min_rate, decisions_enabled) {
-                self.active_bits[i / 64] &= !(1u64 << (i % 64));
-            } else {
-                self.active[keep] = i as u32;
-                keep += 1;
-            }
-        }
-        self.active.truncate(keep);
+        self.retain_active(|c, i| !c.is_resting(i, min_rate, decisions_enabled));
     }
 
     #[inline]
@@ -499,9 +488,60 @@ impl Channels {
     }
 }
 
+/// Calls `f` with the index of every set bit in `words`, in ascending
+/// order: word by word, `trailing_zeros` names the lowest set bit and
+/// `bits &= bits - 1` clears it. Cost is O(set bits + words), with no
+/// sort.
+#[inline]
+pub(crate) fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Sets bit `map[i]` of `out` for every set bit `i` of `words` — the
+/// paired-link tick's channel-to-link projection. O(set bits + words);
+/// walking `out` afterwards yields the distinct images in ascending
+/// order, which is what a collect, sort and dedup would.
+#[inline]
+pub(crate) fn project_bits(words: &[u64], map: &[u32], out: &mut [u64]) {
+    for_each_set_bit(words, |i| {
+        let j = map[i] as usize;
+        out[j / 64] |= 1u64 << (j % 64);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Active-set members in walk order.
+    fn active_list(c: &Channels) -> Vec<usize> {
+        let mut out = Vec::new();
+        for_each_set_bit(c.active_words(), |i| out.push(i));
+        out
+    }
+
+    /// Active-set size: a popcount over the bitmap.
+    fn active_count(c: &Channels) -> usize {
+        c.active_words()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    fn uniform(n: usize) -> Channels {
+        let mut c = Channels::with_capacity(n);
+        for _ in 0..n {
+            c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
+        }
+        c
+    }
 
     fn two() -> Channels {
         let mut c = Channels::with_capacity(2);
@@ -570,7 +610,7 @@ mod tests {
     fn channels_start_active_and_rest_once_at_the_floor() {
         let mut c = two();
         c.set_peers(0, 1);
-        assert_eq!(c.active_len(), 2);
+        assert_eq!(active_count(&c), 2);
         assert!(c.is_active(0) && c.is_active(1));
         // Both idle but above the floor: decisions still possible for
         // the tunable one; the untunable one retires immediately.
@@ -581,14 +621,14 @@ mod tests {
         c.set_rate(0, LinkRate::MIN);
         c.set_rate(1, LinkRate::MIN);
         c.retire_resting(LinkRate::MIN, true);
-        assert_eq!(c.active_len(), 0);
+        assert_eq!(active_count(&c), 0);
         // ...and re-enters the set on the next rate write.
         c.set_rate(0, LinkRate::MAX);
         assert!(c.is_active(0));
-        assert_eq!(c.active_len(), 1);
-        // mark_active is idempotent: no duplicate dense entries.
+        assert_eq!(active_count(&c), 1);
+        // mark_active is idempotent.
         c.mark_active(0);
-        assert_eq!(c.active_len(), 1);
+        assert_eq!(active_count(&c), 1);
     }
 
     #[test]
@@ -621,7 +661,7 @@ mod tests {
         // channel rests even at the ceiling, because no decision will
         // ever be taken for it.
         c.retire_resting(LinkRate::MIN, false);
-        assert_eq!(c.active_len(), 0);
+        assert_eq!(active_count(&c), 0);
     }
 
     #[test]
@@ -678,10 +718,7 @@ mod tests {
 
     #[test]
     fn sample_active_and_retire_matches_full_sweep() {
-        let mut c = Channels::with_capacity(130);
-        for _ in 0..130 {
-            c.push(LinkRate::MAX, 1024, true, SimTime::from_ns(5));
-        }
+        let mut c = uniform(130);
         c.occupancy[3] = 100;
         c.occupancy[129] = 250;
         c.busy_until[7] = SimTime::from_us(12);
@@ -693,7 +730,7 @@ mod tests {
         // Overhang pre-charge survives into the next epoch's budget.
         assert_eq!(c.busy_ps_epoch[7], SimTime::from_us(2).as_ps());
         // Everything stays active here (all at MAX > floor)...
-        assert_eq!(c.active_len(), 130);
+        assert_eq!(active_count(&c), 130);
         // ...but dropping the idle ones to the floor retires all except
         // the queued two and the one with overhang.
         for i in 0..130 {
@@ -701,8 +738,87 @@ mod tests {
         }
         let (sum2, _) = c.sample_active_and_retire(now, epoch_ps, LinkRate::MIN, true);
         assert_eq!(sum2, 350);
-        let mut left: Vec<u32> = (0..c.active_len()).map(|k| c.active_at(k)).collect();
-        left.sort_unstable();
-        assert_eq!(left, vec![3, 7, 129]);
+        assert_eq!(active_list(&c), vec![3, 7, 129]);
+    }
+
+    #[test]
+    fn word_walk_visits_set_bits_in_ascending_order() {
+        // 130 channels: three words, the last one partial.
+        let mut c = uniform(130);
+        assert_eq!(c.active_words().len(), 3);
+        assert_eq!(active_list(&c), (0..130).collect::<Vec<_>>());
+        c.retire_resting(LinkRate::MAX, true);
+        assert_eq!(active_count(&c), 0, "idle channels at the floor rest");
+        for i in [129, 64, 0, 127, 63, 5] {
+            c.mark_active(i);
+        }
+        assert_eq!(active_list(&c), vec![0, 5, 63, 64, 127, 129]);
+        // Bits past the last channel stay clear.
+        assert_eq!(c.active_words()[2] >> 2, 0);
+        let mut seen = Vec::new();
+        for_each_set_bit(&[0, 1 << 63, u64::MAX >> 62], |i| seen.push(i));
+        assert_eq!(seen, vec![127, 128, 129]);
+    }
+
+    #[test]
+    fn snapshot_walk_skips_channels_marked_mid_walk() {
+        // The independent-mode tick walks a tick-start copy of the
+        // bitmap, so a channel that joins the set during the walk —
+        // ahead of the cursor, in the same word or a later one — gets no
+        // visit this tick but stays in the live set for the next.
+        let mut c = uniform(130);
+        c.retire_resting(LinkRate::MAX, true);
+        c.mark_active(2);
+        c.mark_active(70);
+        let snapshot = c.active_words().to_vec();
+        let mut visited = Vec::new();
+        for_each_set_bit(&snapshot, |i| {
+            visited.push(i);
+            c.mark_active(i + 1);
+            c.mark_active(128);
+        });
+        assert_eq!(visited, vec![2, 70]);
+        assert_eq!(active_list(&c), vec![2, 3, 70, 71, 128]);
+    }
+
+    proptest! {
+        /// The paired tick's link walk — project the channel bitmap to
+        /// a link bitmap, then walk it — equals the collect + sort +
+        /// dedup of link ids it replaced, which stays here as the
+        /// oracle.
+        #[test]
+        fn link_walk_matches_sorted_deduped_collect(
+            num_links in 1usize..200,
+            n in 1usize..400,
+            density in 0u64..=64,
+            seed in any::<u64>(),
+        ) {
+            // splitmix64 stream: a random `link_of` table and a random
+            // active set of roughly `density / 64` of the channels.
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let link_of: Vec<u32> = (0..n).map(|_| (next() % num_links as u64) as u32).collect();
+            let mut words = vec![0u64; n.div_ceil(64)];
+            for i in 0..n {
+                if next() % 64 < density {
+                    words[i / 64] |= 1 << (i % 64);
+                }
+            }
+            let mut oracle = Vec::new();
+            for_each_set_bit(&words, |i| oracle.push(link_of[i] as usize));
+            oracle.sort_unstable();
+            oracle.dedup();
+            let mut links = vec![0u64; num_links.div_ceil(64)];
+            project_bits(&words, &link_of, &mut links);
+            let mut walked = Vec::new();
+            for_each_set_bit(&links, |l| walked.push(l));
+            prop_assert_eq!(walked, oracle);
+        }
     }
 }

@@ -33,7 +33,10 @@
 //! through free lists, so a warmed-up run performs no steady-state heap
 //! allocation (see DESIGN.md "Memory layout").
 
-use crate::channels::{Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY, F_TUNABLE};
+use crate::channels::{
+    for_each_set_bit, project_bits, Channels, F_BUSY, F_CREDIT_WAKE, F_DRAINING, F_OFF, F_RETRY,
+    F_TUNABLE,
+};
 use crate::config::{ControlMode, EpochMode, RoutingPolicy, SimConfig};
 use crate::controller::desired_rate;
 use crate::dyntopo::DynamicTopology;
@@ -62,7 +65,7 @@ pub(crate) struct MessageRec {
     pub(crate) offered_at: SimTime,
 }
 
-/// What [`Simulator::apply_rate`] did with a controller decision —
+/// What [`Core::apply_rate`] did with a controller decision —
 /// the trace layer's `reason` derives from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RateOutcome {
@@ -171,9 +174,12 @@ pub(crate) struct Core {
     /// path (channel → link is a table lookup there, once per active
     /// channel per tick).
     pub(crate) link_of: Vec<u32>,
-    /// Scratch for the paired-link active path: links with at least one
-    /// active channel, sorted and deduplicated in place each tick.
-    pub(crate) active_links: Vec<u32>,
+    /// Scratch for the paired-link active path: a bitmap of the links
+    /// with at least one active channel, built and cleared each tick.
+    pub(crate) active_links: Vec<u64>,
+    /// Scratch for the independent-channel active path: the active-set
+    /// bitmap as it stood at tick start.
+    pub(crate) active_snapshot: Vec<u64>,
     pub(crate) last_offered_at: SimTime,
     /// End of the current utilization-measurement epoch.
     pub(crate) epoch_end: SimTime,
@@ -348,7 +354,8 @@ impl Core {
             routes,
             epoch_mode: EpochMode::from_env(),
             link_of,
-            active_links: Vec::with_capacity(num_links),
+            active_links: vec![0; num_links.div_ceil(64)],
+            active_snapshot: vec![0; n.div_ceil(64)],
             last_offered_at: SimTime::ZERO,
             epoch_end: first_epoch_end,
             controller_active: false,
@@ -1088,14 +1095,22 @@ impl Core {
     /// O(topology) reference. Controller tracing forces the sweep:
     /// traced runs emit a per-decision line even for holds, and the
     /// trace stream is part of the byte-identical output contract.
+    ///
+    /// Wall time goes to the `controller` phase, split into
+    /// `controller.fluid` (hybrid fluid advance), `controller.retune`
+    /// (rate decisions and the asymmetry sample), `controller.dyntopo`
+    /// and `controller.sample` (queue-depth sample, overhang recharge,
+    /// retirement) sub-phases.
     fn on_epoch(&mut self) {
         let tick_start = Instant::now();
+        let mut lap = tick_start;
         // Fluid flows advance before the controller reads per-channel
         // utilization: the epoch's busy picoseconds then include fluid
         // movement exactly as they would packet serialization, keeping
         // rate decisions regime-independent.
         if self.model == SimModel::Hybrid {
             self.advance_flows();
+            lap = self.lap("controller.fluid", lap);
         }
         let sweep = self.epoch_mode == EpochMode::Sweep || self.inst.on(TraceCategory::Controller);
         let decisions_enabled = self.config.control != ControlMode::AlwaysFull;
@@ -1125,6 +1140,7 @@ impl Core {
                 self.stats.asymmetric_link_samples += self.channels.asymmetric_links();
             }
         }
+        lap = self.lap("controller.retune", lap);
         if let Some(mut dt) = self.dyntopo.take() {
             let mask = self.mask.as_mut().expect("dyntopo requires a mask");
             dt.on_epoch(
@@ -1137,6 +1153,7 @@ impl Core {
                 &mut self.inst,
             );
             self.dyntopo = Some(dt);
+            lap = self.lap("controller.dyntopo", lap);
         }
         let epoch = self.config.epoch;
         // Queue depth is sampled here, once per channel per epoch, so
@@ -1187,9 +1204,18 @@ impl Core {
             self.queue.schedule(next, Event::EpochTick);
         }
         self.stats.epoch_ticks += 1;
+        self.lap("controller.sample", lap);
         self.inst
             .profiler
             .record("controller", tick_start.elapsed());
+    }
+
+    /// Attributes the wall time since `since` to phase `name` and
+    /// returns the new lap start.
+    fn lap(&mut self, name: &'static str, since: Instant) -> Instant {
+        let now = Instant::now();
+        self.inst.profiler.record(name, now - since);
+        now
     }
 
     fn retune_independent(&mut self) {
@@ -1201,23 +1227,25 @@ impl Core {
         }
     }
 
-    /// Active-set twin of [`Simulator::retune_independent`]: only set
-    /// members can decide anything but "hold", and decisions run in
-    /// ascending channel order — the same relative order as the sweep —
-    /// because decision order fixes event insertion order, and FIFO
-    /// tie-breaking makes that order observable in the report.
+    /// Active-set twin of [`Core::retune_independent`]: only set
+    /// members can decide anything but "hold", and the bitmap walk
+    /// visits them in ascending channel order — the same relative order
+    /// as the sweep — because decision order fixes event insertion
+    /// order, and FIFO tie-breaking makes that order observable in the
+    /// report.
     fn retune_independent_active(&mut self) {
-        self.channels.sort_active();
-        // Snapshot the length: decisions can append to the set (a rate
-        // change marks the channel), and appended entries need no
-        // decision of their own this tick.
-        let n0 = self.channels.active_len();
-        for k in 0..n0 {
-            let id = ChannelId::new(self.channels.active_at(k));
+        // Walk the tick-start set: a decision can mark a channel active,
+        // and a channel that joins mid-walk needs no decision of its own
+        // this tick.
+        let mut snapshot = std::mem::take(&mut self.active_snapshot);
+        snapshot.copy_from_slice(self.channels.active_words());
+        for_each_set_bit(&snapshot, |ch| {
+            let id = ChannelId::new(ch as u32);
             if let Some((util, rate)) = self.channel_decision(id) {
                 self.decide_rate(id, util, rate);
             }
-        }
+        });
+        self.active_snapshot = snapshot;
     }
 
     fn retune_paired(&mut self) {
@@ -1228,24 +1256,20 @@ impl Core {
         }
     }
 
-    /// Active-set twin of [`Simulator::retune_paired`]: a link is
-    /// processed when *either* channel is in the active set (the
-    /// paired rule can retune a resting channel to match its busy
-    /// peer), in ascending link order to match the sweep's event
-    /// insertion order. Both scratch structures are preallocated and
-    /// sorted in place — no steady-state allocation.
+    /// Active-set twin of [`Core::retune_paired`]: a link is processed
+    /// when *either* channel is in the active set (the paired rule can
+    /// retune a resting channel to match its busy peer), in ascending
+    /// link order to match the sweep's event insertion order. The link
+    /// bitmap is filled from the tick-start channel set before any
+    /// decision runs, walked in order, and cleared — O(active +
+    /// links/64), no sort, no allocation.
     fn retune_paired_active(&mut self) {
-        self.channels.sort_active();
         let mut links = std::mem::take(&mut self.active_links);
-        links.clear();
-        for k in 0..self.channels.active_len() {
-            links.push(self.link_of[self.channels.active_at(k) as usize]);
-        }
-        links.sort_unstable();
-        links.dedup();
-        for &link in &links {
-            self.retune_link(epnet_topology::LinkId::new(link));
-        }
+        project_bits(self.channels.active_words(), &self.link_of, &mut links);
+        for_each_set_bit(&links, |link| {
+            self.retune_link(epnet_topology::LinkId::new(link as u32));
+        });
+        links.fill(0);
         self.active_links = links;
     }
 

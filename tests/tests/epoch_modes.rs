@@ -11,6 +11,7 @@
 //! reports here.
 
 use epnet::prelude::*;
+use epnet::sim::SimModel;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -72,6 +73,47 @@ fn run_serialized(
     serde_json::to_string_pretty(&report).expect("report serializes")
 }
 
+/// Hybrid-model twin of [`run_serialized`]: messages of at least
+/// 64 KiB, so the fluid path absorbs flows and the tick's fluid advance
+/// charges busy time to the channels the controller then decides.
+/// Panics when no flow was absorbed, so a hybrid row cannot pass on a
+/// packet-only run.
+fn run_hybrid_serialized(
+    control: ControlMode,
+    strategy: ReactivationStrategy,
+    message_bytes: u64,
+    load: f64,
+    seed: u64,
+) -> String {
+    let fabric = FlattenedButterfly::new(2, 8, 2)
+        .expect("valid shape")
+        .build_fabric();
+    let mut b = SimConfig::builder();
+    b.control(control)
+        .policy(RatePolicy::HalveDouble)
+        .reactivation_strategy(strategy);
+    let config = b.build();
+    let horizon = SimTime::from_ms(1);
+    let src = UniformRandom::builder(fabric.num_hosts() as u32)
+        .message_bytes(message_bytes)
+        .offered_load(load)
+        .seed(seed)
+        .horizon(horizon)
+        .build();
+    let mut sim = Simulator::with_model(fabric.clone(), config, src, SimModel::Hybrid);
+    sim.enable_dynamic_topology(DynamicTopology::new(
+        &fabric,
+        DynamicTopologyConfig::default(),
+    ));
+    let report = sim.run_until(horizon);
+    let absorbed = report.diagnostics.get("flows_absorbed").copied();
+    assert!(
+        absorbed.unwrap_or(0) > 0,
+        "no flow went fluid ({absorbed:?}); the hybrid row would be vacuous"
+    );
+    serde_json::to_string_pretty(&report).expect("report serializes")
+}
+
 /// Runs `f` once per `EPNET_EPOCH` mode and asserts byte identity.
 fn assert_modes_agree(label: &str, f: impl Fn() -> String) {
     std::env::set_var("EPNET_EPOCH", "sweep");
@@ -96,6 +138,24 @@ fn sweep_and_active_set_reports_are_byte_identical_across_the_matrix() {
                 let label = format!("{control:?}/{policy:?}/{strategy:?}");
                 assert_modes_agree(&label, || {
                     run_serialized(control, policy, strategy, 0.08, 11)
+                });
+            }
+        }
+    }
+}
+
+/// The hybrid model through both deciding control modes: the fluid
+/// advance marks channels active from inside the tick, ahead of the
+/// retune walk, and fluid busy time keeps channels off the floor.
+#[test]
+fn sweep_and_active_set_agree_under_the_hybrid_model() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    for control in [ControlMode::PairedLink, ControlMode::IndependentChannel] {
+        for strategy in STRATEGIES {
+            for (message_bytes, load, seed) in [(64 * 1024, 0.3, 5), (256 * 1024, 0.08, 17)] {
+                let label = format!("hybrid {control:?}/{strategy:?}/{message_bytes}B@{load}");
+                assert_modes_agree(&label, || {
+                    run_hybrid_serialized(control, strategy, message_bytes, load, seed)
                 });
             }
         }
